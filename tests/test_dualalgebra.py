@@ -346,6 +346,13 @@ class TestElementBasics:
         assert x.text() == "1/2 * Delta_{1,0} - N_{1,0}"
         assert element(2, {}).text() == "0"
 
+    def test_text_negative_lead_and_two_term_coefficient(self):
+        two = PiScalar(Fraction(-2, 3), -1) + PiScalar(5, 2)
+        x = element(3, {D(1, 0): PiScalar(Fraction(-4, 9), -1), D(2, 0): -1, D(2, 1): two, N(2, 0): 1})
+        assert x.text() == ("-(4/9 * pi^-1) * Delta_{1,0} - Delta_{2,0}"
+                            " - (2/3 * pi^-1 - 5 * pi^2) * Delta_{2,1} + N_{2,0}")
+        assert element(2, {N(1, 0): PiScalar(-1)}).text() == "-N_{1,0}"
+
     def test_homogeneous_part(self):
         x = unit(2) + tbar(2)
         assert x.homogeneous_part(0) == unit(2)

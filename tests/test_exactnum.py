@@ -153,3 +153,7 @@ class TestRendering:
         assert PiScalar(2, 1).latex() == "2\\pi"
         assert PiScalar(1, 1).latex() == "\\pi"
         assert PiScalar(1, -2).latex() == "\\frac{1}{\\pi^{2}}"
+
+    def test_latex_two_terms(self):
+        assert (PiScalar(Fraction(-2, 3), -1) + PiScalar(5, 2)).latex() == "-\\frac{2}{3\\pi} + 5\\pi^{2}"
+        assert (PiScalar(Fraction(1, 2), -1) - PI).latex() == "\\frac{1}{2\\pi} - \\pi"

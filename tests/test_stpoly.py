@@ -241,6 +241,15 @@ class TestRenderingAndArithmetic:
     def test_latex(self):
         assert (STPoly.monomial(3, 0) - 2 * STPoly.monomial(1, 1)).latex() == "t^{3} - 2st"
 
+    def test_latex_two_term_coefficients(self):
+        two = PiScalar(Fraction(-2, 3), -1) + PiScalar(5, 2)
+        poly = STPoly({(0, 0): two, (2, 0): -two, (1, 1): PiScalar(1, -1), (0, 2): two})
+        assert poly.latex() == (
+            "-\\left(\\frac{2}{3\\pi} - 5\\pi^{2}\\right)"
+            " + \\left(\\frac{2}{3\\pi} - 5\\pi^{2}\\right)t^{2}"
+            " + \\frac{1}{\\pi}st"
+            " - \\left(\\frac{2}{3\\pi} - 5\\pi^{2}\\right)s^{2}")
+
     def test_homogeneous_components(self):
         poly = p_poly(4)
         assert poly.homogeneous_component(4) == poly
