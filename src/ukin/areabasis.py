@@ -87,18 +87,30 @@ def _require_dimension(n: int) -> None:
         raise InvalidIndexError(f"ambient dimension must satisfy n >= 2, got {n}")
 
 
+def _q_bounds(n: int, family: Family, k: int) -> tuple[int, int]:
+    # Inclusive q-range of one family in degree 0 <= k <= 2n-1, as in the
+    # module docstring (2q < k is q <= (k-1)//2); empty when lo > hi.
+    if family is Family.DELTA:
+        return max(0, k - n), k // 2
+    if family is Family.N:
+        return max(0, k - n + 1), (k - 1) // 2
+    if family is Family.B:
+        return max(0, k - n), (k - 1) // 2
+    return max(0, k - n + 1), k // 2  # Gamma
+
+
+def _family_indices(n: int, family: Family, k: int) -> list[AreaIndex]:
+    lo, hi = _q_bounds(n, family, k)
+    return [AreaIndex(family, k, q) for q in range(lo, hi + 1)]
+
+
 def is_valid(n: int, index: AreaIndex) -> bool:
     _require_dimension(n)
-    k, q = index.k, index.q
+    k = index.k
     if not 0 <= k <= 2 * n - 1:
         return False
-    if index.family is Family.DELTA:
-        return max(0, k - n) <= q <= k // 2
-    if index.family is Family.N:
-        return max(0, k - n + 1) <= q and 2 * q < k
-    if index.family is Family.B:
-        return max(0, k - n) <= q and 2 * q < k
-    return max(0, k - n + 1) <= q and 2 * q <= k  # Gamma
+    lo, hi = _q_bounds(n, index.family, k)
+    return lo <= index.q <= hi
 
 
 def require_valid(n: int, index: AreaIndex) -> AreaIndex:
@@ -110,13 +122,7 @@ def require_valid(n: int, index: AreaIndex) -> AreaIndex:
 def valid_indices(n: int, family: Family) -> list[AreaIndex]:
     """All valid indices of one family, ordered by (k, q) ascending."""
     _require_dimension(n)
-    out = []
-    for k in range(2 * n):
-        for q in range(0, k // 2 + 1):
-            idx = AreaIndex(family, k, q)
-            if is_valid(n, idx):
-                out.append(idx)
-    return out
+    return [idx for k in range(2 * n) for idx in _family_indices(n, family, k)]
 
 
 def dual_basis_indices(n: int) -> list[AreaIndex]:
@@ -125,8 +131,11 @@ def dual_basis_indices(n: int) -> list[AreaIndex]:
     return sorted(merged, key=lambda idx: idx.sort_key)
 
 
-def indices_of_degree(n: int, degree: int, families: tuple[Family, Family] = (Family.DELTA, Family.N)) -> list[AreaIndex]:
-    merged = [idx for family in families for idx in valid_indices(n, family) if idx.k == degree]
+def indices_of_degree(n: int, degree: int, families: tuple[Family, ...] = (Family.DELTA, Family.N)) -> list[AreaIndex]:
+    _require_dimension(n)
+    if not 0 <= degree <= 2 * n - 1:
+        return []
+    merged = [idx for family in families for idx in _family_indices(n, family, degree)]
     return sorted(merged, key=lambda idx: idx.sort_key)
 
 
@@ -145,14 +154,12 @@ class Census:
 def census(n: int) -> Census:
     """Per-degree dimension count of the Delta/N (equivalently B/Gamma) basis."""
     _require_dimension(n)
-    deltas = [0] * (2 * n)
-    ns = [0] * (2 * n)
-    for idx in valid_indices(n, Family.DELTA):
-        deltas[idx.k] += 1
-    for idx in valid_indices(n, Family.N):
-        ns[idx.k] += 1
-    both = tuple(d + m for d, m in zip(deltas, ns))
-    return Census(n, both, tuple(deltas), tuple(ns))
+
+    def counts(family: Family) -> tuple[int, ...]:
+        return tuple(max(0, hi - lo + 1) for lo, hi in (_q_bounds(n, family, k) for k in range(2 * n)))
+
+    deltas, ns = counts(Family.DELTA), counts(Family.N)
+    return Census(n, tuple(d + m for d, m in zip(deltas, ns)), deltas, ns)
 
 
 # ---------------------------------------------------------------------------

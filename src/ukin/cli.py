@@ -1,8 +1,9 @@
 """Command-line driver.
 
 Verbs: table, formula, global, semilocal, census, verify, identities.
-Documents go to stdout (or --out); verification reports go to stderr.
-Exit codes: 0 success, 1 verification failure, 2 usage error.
+Documents go to stdout (or --out, written atomically); verification reports
+go to stderr.  Exit codes: 0 success, 1 verification failure, 2 usage error,
+3 I/O error (e.g. --out names a missing directory or a directory).
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .verify import SUITES, identity_sweeps, run_suite
 
 USAGE_ERROR = 2
 VERIFY_FAILURE = 1
+IO_ERROR = 3
 
 
 class _Parser(argparse.ArgumentParser):
@@ -106,11 +108,21 @@ def _report(checks: list[CheckResult]) -> int:
 
 
 def _write_document(document: str, out_path: str | None) -> None:
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(document)
-    else:
+    if not out_path:
         sys.stdout.write(document)
+        return
+    # A temp file beside the target, then an atomic rename: a failed run never
+    # leaves half a document.
+    head, tail = os.path.split(out_path)
+    temp_path = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    handle = open(temp_path, "x", encoding="utf-8")
+    try:
+        with handle:
+            handle.write(document)
+        os.replace(temp_path, out_path)
+    except BaseException:
+        os.unlink(temp_path)
+        raise
 
 
 def _usage_error(message: str) -> int:
@@ -198,6 +210,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _usage_error(str(exc))
     except ValueError as exc:
         return _usage_error(str(exc))
+    except OSError as exc:
+        target = getattr(args, "out", None) or "stdout"
+        print(f"ukin: error: cannot write {target}: {exc.strerror or exc}", file=sys.stderr)
+        return IO_ERROR
 
 
 if __name__ == "__main__":

@@ -42,7 +42,7 @@ from .areabasis import (
     require_valid,
     valid_indices,
 )
-from .exactnum import PI, PiScalar, ball_volume
+from .exactnum import PI, ZERO, PiScalar, add_terms, ball_volume, join_signed, split_sign
 from .stpoly import STPoly, fu_poly, p_poly, q_poly, tsu_ball_value, mustar_pairing
 
 ScalarLike = PiScalar | int | Fraction
@@ -76,19 +76,8 @@ class AreaDualElement:
     def __init__(self, n: int, coords: Mapping[AreaIndex, ScalarLike] | Iterable[tuple[AreaIndex, ScalarLike]] = ()):
         if isinstance(coords, Mapping):
             coords = coords.items()
-        data: dict[AreaIndex, PiScalar] = {}
-        for idx, coeff in coords:
-            if idx.family not in (Family.DELTA, Family.N):
-                raise InvalidIndexError(f"dual elements use Delta*/N* coordinates only, got {idx.text()}")
-            require_valid(n, idx)
-            coeff = _as_piscalar(coeff)
-            acc = data.get(idx, _PS_ZERO) + coeff
-            if acc:
-                data[idx] = acc
-            else:
-                data.pop(idx, None)
         self.n = n
-        self._coords = data
+        self._coords = add_terms({}, ((_require_dual(n, idx), _as_piscalar(coeff)) for idx, coeff in coords))
 
     # -- inspection -----------------------------------------------------------
 
@@ -96,7 +85,7 @@ class AreaDualElement:
         return tuple(sorted(self._coords.items(), key=lambda kv: kv[0].sort_key))
 
     def coefficient(self, index: AreaIndex) -> PiScalar:
-        return self._coords.get(index, _PS_ZERO)
+        return self._coords.get(index, ZERO)
 
     def degrees(self) -> list[int]:
         return sorted({idx.k for idx in self._coords})
@@ -125,16 +114,9 @@ class AreaDualElement:
             return NotImplemented
         if self.n != other.n:
             raise ValueError(f"mixed ambient dimensions: {self.n} vs {other.n}")
-        data = dict(self._coords)
-        for idx, coeff in other._coords.items():
-            acc = data.get(idx, _PS_ZERO) + coeff
-            if acc:
-                data[idx] = acc
-            else:
-                data.pop(idx, None)
         out = AreaDualElement.__new__(AreaDualElement)
         out.n = self.n
-        out._coords = data
+        out._coords = add_terms(dict(self._coords), other._coords.items())
         return out
 
     def __neg__(self) -> "AreaDualElement":
@@ -160,21 +142,7 @@ class AreaDualElement:
     # -- rendering ------------------------------------------------------------
 
     def text(self) -> str:
-        if not self._coords:
-            return "0"
-        parts = []
-        for idx, coeff in self.items():
-            _, lead = coeff.terms()[0]
-            sign, magnitude = (1, coeff) if lead > 0 else (-1, -coeff)
-            mag_text = magnitude.text()
-            if " " in mag_text:
-                mag_text = f"({mag_text})"
-            body = f"{idx}" if mag_text == "1" else f"{mag_text} * {idx}"
-            if not parts:
-                parts.append(body if sign > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if sign > 0 else f"- {body}")
-        return " ".join(parts)
+        return join_signed(_term_text(idx, coeff) for idx, coeff in self.items())
 
     def __str__(self) -> str:
         return self.text()
@@ -183,7 +151,18 @@ class AreaDualElement:
         return f"AreaDualElement(n={self.n}, {self.text()!r})"
 
 
-_PS_ZERO = PiScalar()
+def _require_dual(n: int, idx: AreaIndex) -> AreaIndex:
+    if idx.family not in (Family.DELTA, Family.N):
+        raise InvalidIndexError(f"dual elements use Delta*/N* coordinates only, got {idx.text()}")
+    return require_valid(n, idx)
+
+
+def _term_text(idx: AreaIndex, coeff: PiScalar) -> tuple[int, str]:
+    sign, magnitude = split_sign(coeff)
+    mag_text = magnitude.text()
+    if " " in mag_text:
+        mag_text = f"({mag_text})"
+    return sign, f"{idx}" if mag_text == "1" else f"{mag_text} * {idx}"
 
 
 def zero(n: int) -> AreaDualElement:
@@ -245,16 +224,9 @@ def _tbar_step(n: int, k: int) -> PiScalar:
 
 def _accumulate(acc: dict[AreaIndex, PiScalar], n: int, family: Family, k: int, q: int, coeff: PiScalar) -> None:
     # Out-of-range targets denote zero by convention and are dropped.
-    if not coeff:
-        return
     idx = AreaIndex(family, k, q)
-    if not is_valid(n, idx):
-        return
-    total = acc.get(idx, _PS_ZERO) + coeff
-    if total:
-        acc[idx] = total
-    else:
-        acc.pop(idx, None)
+    if is_valid(n, idx):
+        add_terms(acc, ((idx, coeff),))
 
 
 def mul_tbar(x: AreaDualElement) -> AreaDualElement:
@@ -414,7 +386,7 @@ def _gauss_solve(matrix, rhs):
     nrows = len(matrix)
     ncols = len(matrix[0]) if nrows else 0
     rows = [list(r) for r in matrix]
-    vec = list(rhs) if rhs is not None else [_PS_ZERO] * nrows
+    vec = list(rhs) if rhs is not None else [ZERO] * nrows
     used = [False] * nrows
     pivots: list[tuple[int, int]] = []
     for col in range(ncols):
@@ -437,7 +409,7 @@ def _gauss_solve(matrix, rhs):
     for r in range(nrows):
         if not used[r] and vec[r]:
             raise InconsistentSystemError("inconsistent system: element is outside the generator span")
-    solution = [_PS_ZERO] * ncols
+    solution = [ZERO] * ncols
     for pivot_row, col in pivots:
         solution[col] = vec[pivot_row].div_by_monomial(rows[pivot_row][col])
     return solution, len(pivots)

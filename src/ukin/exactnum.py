@@ -19,6 +19,33 @@ Rational = Fraction
 RationalLike = Union[int, Fraction]
 
 
+def add_terms(into: dict, items: Iterable[tuple]) -> dict:
+    """Add (key, coeff) pairs into a sparse dict, dropping keys whose sum is zero.
+
+    The one accumulator behind every sparse coefficient map in the package;
+    returns `into`.
+    """
+    for key, coeff in items:
+        total = into.get(key)
+        total = coeff if total is None else total + coeff
+        if total:
+            into[key] = total
+        else:
+            into.pop(key, None)
+    return into
+
+
+def join_signed(terms: Iterable[tuple[int, str]]) -> str:
+    """Join (sign, body) pairs as 'a - b + c'; no pairs give '0'."""
+    parts: list[str] = []
+    for sign, body in terms:
+        if parts:
+            parts.append(f"+ {body}" if sign > 0 else f"- {body}")
+        else:
+            parts.append(body if sign > 0 else f"-{body}")
+    return " ".join(parts) or "0"
+
+
 class NonMonomialDivisorError(ArithmeticError):
     """Division by a scalar that is zero or has more than one pi-term.
 
@@ -54,15 +81,8 @@ class PiScalar:
         """Build from (pi_exp, coefficient) pairs, merging and dropping zeros."""
         if isinstance(items, Mapping):
             items = items.items()
-        terms: dict[int, Fraction] = {}
-        for exp, coeff in items:
-            acc = terms.get(exp, _ZERO_FRACTION) + coeff
-            if acc:
-                terms[exp] = acc
-            else:
-                terms.pop(exp, None)
         out = cls.__new__(cls)
-        out._terms = terms
+        out._terms = add_terms({}, ((exp, _as_fraction(coeff)) for exp, coeff in items))
         return out
 
     # -- inspection ---------------------------------------------------------
@@ -100,15 +120,8 @@ class PiScalar:
             other = PiScalar(other)
         elif not isinstance(other, PiScalar):
             return NotImplemented
-        terms = dict(self._terms)
-        for exp, coeff in other._terms.items():
-            acc = terms.get(exp, _ZERO_FRACTION) + coeff
-            if acc:
-                terms[exp] = acc
-            else:
-                terms.pop(exp, None)
         out = PiScalar.__new__(PiScalar)
-        out._terms = terms
+        out._terms = add_terms(dict(self._terms), other._terms.items())
         return out
 
     __radd__ = __add__
@@ -138,17 +151,10 @@ class PiScalar:
             return out
         if not isinstance(other, PiScalar):
             return NotImplemented
-        terms: dict[int, Fraction] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                exp = e1 + e2
-                acc = terms.get(exp, _ZERO_FRACTION) + c1 * c2
-                if acc:
-                    terms[exp] = acc
-                else:
-                    terms.pop(exp, None)
         out = PiScalar.__new__(PiScalar)
-        out._terms = terms
+        out._terms = add_terms({}, ((e1 + e2, c1 * c2)
+                                    for e1, c1 in self._terms.items()
+                                    for e2, c2 in other._terms.items()))
         return out
 
     __rmul__ = __mul__
@@ -177,29 +183,11 @@ class PiScalar:
 
     def text(self) -> str:
         """Plain rendering such as '8/9 * pi^-1 + 2 * pi'; zero is '0'."""
-        if not self._terms:
-            return "0"
-        parts: list[str] = []
-        for exp, coeff in self.terms():
-            mag = _term_text(abs(coeff), exp)
-            if not parts:
-                parts.append(mag if coeff > 0 else f"-{mag}")
-            else:
-                parts.append(f"+ {mag}" if coeff > 0 else f"- {mag}")
-        return " ".join(parts)
+        return join_signed((coeff.numerator, _term_text(abs(coeff), exp)) for exp, coeff in self.terms())
 
     def latex(self) -> str:
         """LaTeX rendering; monomials collapse pi into the fraction bar."""
-        if not self._terms:
-            return "0"
-        parts: list[str] = []
-        for exp, coeff in self.terms():
-            mag = _term_latex(abs(coeff), exp)
-            if not parts:
-                parts.append(mag if coeff > 0 else f"-{mag}")
-            else:
-                parts.append(f"+ {mag}" if coeff > 0 else f"- {mag}")
-        return " ".join(parts)
+        return join_signed((coeff.numerator, _term_latex(abs(coeff), exp)) for exp, coeff in self.terms())
 
     def to_json_dict(self) -> dict:
         return {
@@ -221,6 +209,12 @@ _ZERO_FRACTION = Fraction(0)
 ZERO = PiScalar()
 ONE = PiScalar(1)
 PI = PiScalar(1, 1)
+
+
+def split_sign(coeff: PiScalar) -> tuple[int, PiScalar]:
+    """(sign, magnitude) of a nonzero scalar, signed by its lowest-pi-exponent term."""
+    _, lead = coeff.terms()[0]
+    return (1, coeff) if lead > 0 else (-1, -coeff)
 
 
 def _term_text(coeff: Fraction, exp: int) -> str:

@@ -26,7 +26,7 @@ from .areabasis import (
     valid_indices,
 )
 from .dualalgebra import AreaDualElement, basis_product
-from .exactnum import PiScalar
+from .exactnum import PiScalar, join_signed, split_sign
 
 BASIS_DELTA_N = "delta-n"
 BASIS_B_GAMMA = "b-gamma"
@@ -85,6 +85,26 @@ def _target_dn_coordinates(n: int, target: AreaIndex) -> dict[AreaIndex, Fractio
     return primal_dn_from_bg(n, target)
 
 
+def _pair_table(n: int, target: AreaIndex, basis: str, left_families: tuple[Family, ...],
+                right_families: tuple[Family, ...], kind: str = "local") -> KinematicTable:
+    # Pair the dual products b*_l b*_r against the target, visiting only the
+    # left and right slot families the table keeps.
+    target_coords = _target_dn_coordinates(n, target)
+    entries: dict[Pair, PiScalar] = {}
+    degree = target.k
+    for d1 in range(degree + 1):
+        rights = indices_of_degree(n, degree - d1, right_families)
+        for left in indices_of_degree(n, d1, left_families):
+            for right in rights:
+                prod = basis_product(n, left, right)
+                coeff = PiScalar()
+                for idx, weight in target_coords.items():
+                    coeff = coeff + prod.coefficient(idx) * weight
+                if coeff:
+                    entries[(left, right)] = coeff
+    return KinematicTable(n, target, basis, entries, kind)
+
+
 def local_formula(n: int, target: AreaIndex, basis: str = BASIS_DELTA_N) -> KinematicTable:
     """Full coefficient table of A(target) over the chosen pair basis."""
     families = _families_for(basis)
@@ -92,19 +112,7 @@ def local_formula(n: int, target: AreaIndex, basis: str = BASIS_DELTA_N) -> Kine
     if target.family not in families:
         raise InvalidIndexError(
             f"target {target.text()} does not belong to the {basis} basis")
-    target_coords = _target_dn_coordinates(n, target)
-    entries: dict[Pair, PiScalar] = {}
-    degree = target.k
-    for d1 in range(degree + 1):
-        for left in indices_of_degree(n, d1, families):
-            for right in indices_of_degree(n, degree - d1, families):
-                prod = basis_product(n, left, right)
-                coeff = PiScalar()
-                for idx, weight in target_coords.items():
-                    coeff = coeff + prod.coefficient(idx) * weight
-                if coeff:
-                    entries[(left, right)] = coeff
-    return KinematicTable(n, target, basis, entries)
+    return _pair_table(n, target, basis, families, families)
 
 
 def full_table(n: int, basis: str = BASIS_DELTA_N) -> list[KinematicTable]:
@@ -118,12 +126,7 @@ def full_table(n: int, basis: str = BASIS_DELTA_N) -> list[KinematicTable]:
 def global_formula(n: int, k: int, q: int) -> KinematicTable:
     """Globalized formula for mu_{k,q}: N-slots vanish on the full sphere."""
     target = require_valid(n, AreaIndex(Family.DELTA, k, q))
-    table = local_formula(n, target, BASIS_DELTA_N)
-    entries = {
-        pair: coeff for pair, coeff in table.entries.items()
-        if pair[0].family is Family.DELTA and pair[1].family is Family.DELTA
-    }
-    return KinematicTable(n, target, BASIS_DELTA_N, entries, kind="global")
+    return _pair_table(n, target, BASIS_DELTA_N, (Family.DELTA,), (Family.DELTA,), kind="global")
 
 
 def semilocal_formula(n: int, target: AreaIndex) -> KinematicTable:
@@ -131,12 +134,7 @@ def semilocal_formula(n: int, target: AreaIndex) -> KinematicTable:
     require_valid(n, target)
     if target.family not in (Family.DELTA, Family.N):
         raise InvalidIndexError("semilocal targets use the Delta/N basis")
-    table = local_formula(n, target, BASIS_DELTA_N)
-    entries = {
-        pair: coeff for pair, coeff in table.entries.items()
-        if pair[1].family is Family.DELTA
-    }
-    return KinematicTable(n, target, BASIS_DELTA_N, entries, kind="semilocal")
+    return _pair_table(n, target, BASIS_DELTA_N, (Family.DELTA, Family.N), (Family.DELTA,), kind="semilocal")
 
 
 # ---------------------------------------------------------------------------
@@ -165,11 +163,6 @@ def _index_json(index: AreaIndex, as_mu: bool) -> dict:
     return index.to_json_dict()
 
 
-def _coeff_sign_split(coeff: PiScalar) -> tuple[int, PiScalar]:
-    _, lead = coeff.terms()[0]
-    return (1, coeff) if lead > 0 else (-1, -coeff)
-
-
 def emit(table: KinematicTable, fmt: str = "text") -> str:
     """Render one table as 'text', 'latex', or 'json'."""
     if fmt == "json":
@@ -196,17 +189,15 @@ def _emit_latex(table: KinematicTable) -> str:
     left_mu, right_mu = _slot_globalized(table.kind)
     if not table.entries:
         return "0"
-    terms: list[str] = []
-    for (left, right), coeff in table.sorted_entries():
-        sign, magnitude = _coeff_sign_split(coeff)
+
+    def term(left: AreaIndex, right: AreaIndex, coeff: PiScalar) -> tuple[int, str]:
+        sign, magnitude = split_sign(coeff)
         pair = f"{_index_latex(left, left_mu)}\\otimes {_index_latex(right, right_mu)}"
-        body = pair if magnitude == PiScalar(1) else f"{magnitude.latex()} {pair}"
-        if not terms:
-            terms.append(body if sign > 0 else f"-{body}")
-        else:
-            terms.append(f"+ {body}" if sign > 0 else f"- {body}")
+        return sign, pair if magnitude == PiScalar(1) else f"{magnitude.latex()} {pair}"
+
     head_target = _index_latex(table.target, left_mu and right_mu)
-    return f"A({head_target}) = " + " ".join(terms)
+    return f"A({head_target}) = " + join_signed(term(left, right, coeff)
+                                                for (left, right), coeff in table.sorted_entries())
 
 
 def table_json(table: KinematicTable) -> dict:

@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Iterable, Mapping, Union
 
-from .exactnum import PiScalar, Rational, ball_volume, binomial
+from .exactnum import ZERO, PiScalar, Rational, add_terms, ball_volume, binomial, join_signed, split_sign
 
 # Monomial key: (t-exponent, s-exponent).
 Monomial = tuple[int, int]
@@ -47,15 +47,7 @@ class STPoly:
     def __init__(self, terms: Mapping[Monomial, ScalarLike] | Iterable[tuple[Monomial, ScalarLike]] = ()):
         if isinstance(terms, Mapping):
             terms = terms.items()
-        data: dict[Monomial, PiScalar] = {}
-        for mono, coeff in terms:
-            coeff = _as_piscalar(coeff)
-            acc = data.get(mono, _PS_ZERO) + coeff
-            if acc:
-                data[mono] = acc
-            else:
-                data.pop(mono, None)
-        self._terms = data
+        self._terms = add_terms({}, ((mono, _as_piscalar(coeff)) for mono, coeff in terms))
 
     # -- constructors ---------------------------------------------------------
 
@@ -83,7 +75,7 @@ class STPoly:
         return tuple(sorted(self._terms.items(), key=lambda kv: (kv[0][0] + 2 * kv[0][1], kv[0][1])))
 
     def coefficient(self, t_exp: int, s_exp: int) -> PiScalar:
-        return self._terms.get((t_exp, s_exp), _PS_ZERO)
+        return self._terms.get((t_exp, s_exp), ZERO)
 
     def degrees(self) -> set[int]:
         """Set of total degrees a + 2b present in the support."""
@@ -105,15 +97,8 @@ class STPoly:
     def __add__(self, other: "STPoly") -> "STPoly":
         if not isinstance(other, STPoly):
             return NotImplemented
-        data = dict(self._terms)
-        for mono, coeff in other._terms.items():
-            acc = data.get(mono, _PS_ZERO) + coeff
-            if acc:
-                data[mono] = acc
-            else:
-                data.pop(mono, None)
         out = STPoly.__new__(STPoly)
-        out._terms = data
+        out._terms = add_terms(dict(self._terms), other._terms.items())
         return out
 
     def __neg__(self) -> "STPoly":
@@ -136,17 +121,10 @@ class STPoly:
             return out
         if not isinstance(other, STPoly):
             return NotImplemented
-        data: dict[Monomial, PiScalar] = {}
-        for (a1, b1), c1 in self._terms.items():
-            for (a2, b2), c2 in other._terms.items():
-                mono = (a1 + a2, b1 + b2)
-                acc = data.get(mono, _PS_ZERO) + c1 * c2
-                if acc:
-                    data[mono] = acc
-                else:
-                    data.pop(mono, None)
         out = STPoly.__new__(STPoly)
-        out._terms = data
+        out._terms = add_terms({}, (((a1 + a2, b1 + b2), c1 * c2)
+                                    for (a1, b1), c1 in self._terms.items()
+                                    for (a2, b2), c2 in other._terms.items()))
         return out
 
     __rmul__ = __mul__
@@ -163,37 +141,16 @@ class STPoly:
 
     def text(self) -> str:
         """E.g. 't^3 - 2*s*t'; pi-carrying coefficients are parenthesized."""
-        if not self._terms:
-            return "0"
-        parts: list[str] = []
-        for (a, b), coeff in self.terms():
-            sign, body = _term_text(a, b, coeff)
-            if not parts:
-                parts.append(body if sign > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if sign > 0 else f"- {body}")
-        return " ".join(parts)
+        return join_signed(_term_text(a, b, coeff) for (a, b), coeff in self.terms())
 
     def latex(self) -> str:
-        if not self._terms:
-            return "0"
-        parts: list[str] = []
-        for (a, b), coeff in self.terms():
-            sign, body = _term_latex(a, b, coeff)
-            if not parts:
-                parts.append(body if sign > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if sign > 0 else f"- {body}")
-        return " ".join(parts)
+        return join_signed(_term_latex(a, b, coeff) for (a, b), coeff in self.terms())
 
     def __str__(self) -> str:
         return self.text()
 
     def __repr__(self) -> str:
         return f"STPoly({self.text()!r})"
-
-
-_PS_ZERO = PiScalar()
 
 
 def _vars_text(a: int, b: int) -> list[str]:
@@ -205,14 +162,8 @@ def _vars_text(a: int, b: int) -> list[str]:
     return out
 
 
-def _split_sign(coeff: PiScalar) -> tuple[int, PiScalar]:
-    # Sign convention for printing: sign of the leading (lowest pi-exponent) term.
-    exp, lead = coeff.terms()[0]
-    return (1, coeff) if lead > 0 else (-1, -coeff)
-
-
 def _term_text(a: int, b: int, coeff: PiScalar) -> tuple[int, str]:
-    sign, mag = _split_sign(coeff)
+    sign, mag = split_sign(coeff)
     variables = _vars_text(a, b)
     if not variables:
         return sign, mag.text() if mag.is_monomial() else f"({mag.text()})"
@@ -225,7 +176,7 @@ def _term_text(a: int, b: int, coeff: PiScalar) -> tuple[int, str]:
 
 
 def _term_latex(a: int, b: int, coeff: PiScalar) -> tuple[int, str]:
-    sign, mag = _split_sign(coeff)
+    sign, mag = split_sign(coeff)
     variables = ""
     if b:
         variables += "s" if b == 1 else f"s^{{{b}}}"

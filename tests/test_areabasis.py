@@ -52,6 +52,23 @@ class TestRanges:
         with pytest.raises(InvalidIndexError):
             valid_indices(1, Family.DELTA)
 
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_docstring_ranges(self, n):
+        # Delta: max(0, k-n) <= q <= floor(k/2);  N: max(0, k-n+1) <= q < k/2;
+        # B: max(0, k-n) <= q < k/2;  Gamma: max(0, k-n+1) <= q <= floor(k/2).
+        ranges = {
+            Family.DELTA: lambda k, q: max(0, k - n) <= q <= k // 2,
+            Family.N: lambda k, q: max(0, k - n + 1) <= q and 2 * q < k,
+            Family.B: lambda k, q: max(0, k - n) <= q and 2 * q < k,
+            Family.GAMMA: lambda k, q: max(0, k - n + 1) <= q and 2 * q <= k,
+        }
+        for family, in_range in ranges.items():
+            expected = [AreaIndex(family, k, q) for k in range(2 * n) for q in range(k + 1)
+                        if in_range(k, q)]
+            assert valid_indices(n, family) == expected, family
+            assert all(is_valid(n, i) for i in expected)
+            assert not is_valid(n, AreaIndex(family, 2 * n, n))
+
     def test_parse_roundtrip(self):
         assert parse_index("Delta:2,1") == idx("Delta", 2, 1)
         assert parse_index("Gamma:4,2") == idx("Gamma", 4, 2)

@@ -91,6 +91,37 @@ class TestStreams:
         doc = json.loads(out_file.read_text())
         assert len(doc["tables"]) == 6
 
+    def test_out_replaces_existing_file(self, tmp_path):
+        out_file = tmp_path / "doc.json"
+        out_file.write_text("stale")
+        assert main(["table", "--n", "2", "--format", "json", "--out", str(out_file)]) == 0
+        assert out_file.read_text() == (GOLDEN / "n2_table.json").read_text()
+        assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
+
+
+class TestOutErrors:
+    """An OSError on --out is exit 3 with one stderr line and no file left behind."""
+
+    def assert_io_error(self, result):
+        assert result.returncode == 3
+        assert result.stdout == ""
+        assert result.stderr.startswith("ukin: error: cannot write ")
+        assert result.stderr.count("\n") == 1
+        assert "Traceback" not in result.stderr
+
+    def test_missing_directory(self, tmp_path):
+        result = run_cli("table", "--n", "2", "--format", "json", "--out", str(tmp_path / "missing" / "x.json"))
+        self.assert_io_error(result)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_onto_directory(self, tmp_path):
+        target = tmp_path / "existing"
+        target.mkdir()
+        result = run_cli("table", "--n", "2", "--out", str(target))
+        self.assert_io_error(result)
+        assert [p.name for p in tmp_path.iterdir()] == ["existing"]
+        assert list(target.iterdir()) == []
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("fmt", ["text", "latex", "json"])

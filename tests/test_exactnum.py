@@ -9,8 +9,11 @@ from ukin.exactnum import (
     PI,
     NonMonomialDivisorError,
     PiScalar,
+    add_terms,
     ball_volume,
     binomial,
+    join_signed,
+    split_sign,
 )
 
 rationals = st.fractions(
@@ -154,6 +157,30 @@ class TestRendering:
         assert PiScalar(1, 1).latex() == "\\pi"
         assert PiScalar(1, -2).latex() == "\\frac{1}{\\pi^{2}}"
 
-    def test_latex_two_terms(self):
+    def test_two_term_rendering(self):
+        assert (PiScalar(Fraction(-2, 3), -1) + PiScalar(5, 2)).text() == "-2/3 * pi^-1 + 5 * pi^2"
         assert (PiScalar(Fraction(-2, 3), -1) + PiScalar(5, 2)).latex() == "-\\frac{2}{3\\pi} + 5\\pi^{2}"
         assert (PiScalar(Fraction(1, 2), -1) - PI).latex() == "\\frac{1}{2\\pi} - \\pi"
+
+
+class TestSharedHelpers:
+    def test_add_terms_merges_and_drops_zero_sums(self):
+        acc = {1: Fraction(2), 2: Fraction(1)}
+        out = add_terms(acc, [(1, Fraction(-2)), (3, Fraction(5)), (2, Fraction(1, 2)), (4, Fraction(0))])
+        assert out is acc
+        assert acc == {2: Fraction(3, 2), 3: Fraction(5)}
+
+    def test_add_terms_on_piscalar_coefficients(self):
+        acc = add_terms({}, [("x", PI), ("y", PiScalar(1)), ("x", -PI)])
+        assert acc == {"y": PiScalar(1)}
+
+    def test_join_signed(self):
+        assert join_signed([]) == "0"
+        assert join_signed([(1, "a")]) == "a"
+        assert join_signed([(-1, "a"), (-1, "b"), (1, "c")]) == "-a - b + c"
+
+    def test_split_sign_follows_lowest_pi_exponent(self):
+        x = PiScalar(Fraction(-2, 3), -1) + PiScalar(5, 2)
+        assert split_sign(x) == (-1, -x)
+        assert split_sign(-x) == (1, -x)
+        assert split_sign(PiScalar(3, 1)) == (1, PiScalar(3, 1))

@@ -188,6 +188,20 @@ class TestGlobalAndSemilocal:
         table = semilocal_formula(2, N(1, 0))
         assert _table_as_plain(table) == {(N(1, 0), D(0, 0)): ONE}
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_equal_filtered_local_formula(self, n):
+        for target in valid_indices(n, Family.DELTA) + valid_indices(n, Family.N):
+            local = local_formula(n, target).entries
+            semilocal = semilocal_formula(n, target)
+            assert semilocal == KinematicTable(
+                n, target, BASIS_DELTA_N, kind="semilocal",
+                entries={p: c for p, c in local.items() if p[1].family is Family.DELTA})
+            if target.family is Family.DELTA:
+                assert global_formula(n, target.k, target.q) == KinematicTable(
+                    n, target, BASIS_DELTA_N, kind="global",
+                    entries={p: c for p, c in local.items()
+                             if p[0].family is Family.DELTA and p[1].family is Family.DELTA})
+
 
 class TestEmit:
     def test_latex_contains_worked_coefficient(self):
