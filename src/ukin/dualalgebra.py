@@ -13,9 +13,14 @@ p_n - q_{n-1} vbar = 0, p_n vbar = 0 in sbar, tbar.  Multiplication by tbar
 and sbar acts on basis elements through one-step raising rules; every other
 product is reduced to those through the canonical form
 
-    x = phi(sbar, tbar) + psi(sbar, tbar) * vbar,
+    x = phi(sbar, tbar) + psi(sbar, tbar) * vbar.
 
-obtained by an exact linear solve per degree.  Emitted indices outside their
+The canonical form is solved once per Delta*/N* basis element, by an exact
+linear solve in its degree, and cached; the form of any element is the
+linear combination of those, and each basis-pair product multiplies two
+cached forms once.  B*/Gamma* products are not solved at all: the 2x2 block
+maps of areabasis expand each factor into Delta*/N* terms, so they are
+combinations of the cached delta-n products.  Emitted indices outside their
 validity range denote zero and are silently dropped; in particular products
 of total degree above 2n-1 vanish.
 
@@ -42,7 +47,17 @@ from .areabasis import (
     require_valid,
     valid_indices,
 )
-from .exactnum import PI, ZERO, PiScalar, add_terms, ball_volume, join_signed, split_sign
+from .exactnum import (
+    ONE,
+    PI,
+    ZERO,
+    PiScalar,
+    add_terms,
+    as_piscalar,
+    ball_volume,
+    join_signed,
+    split_sign,
+)
 from .stpoly import STPoly, fu_poly, p_poly, q_poly, tsu_ball_value, mustar_pairing
 
 ScalarLike = PiScalar | int | Fraction
@@ -60,10 +75,6 @@ class AlgebraConsistencyError(RuntimeError):
     """An internal cross-check against a closed form failed."""
 
 
-def _as_piscalar(value: ScalarLike) -> PiScalar:
-    return value if isinstance(value, PiScalar) else PiScalar(value)
-
-
 class AreaDualElement:
     """Element of the dual algebra in Delta*/N* coordinates.
 
@@ -77,7 +88,7 @@ class AreaDualElement:
         if isinstance(coords, Mapping):
             coords = coords.items()
         self.n = n
-        self._coords = add_terms({}, ((_require_dual(n, idx), _as_piscalar(coeff)) for idx, coeff in coords))
+        self._coords = add_terms({}, ((_require_dual(n, idx), as_piscalar(coeff)) for idx, coeff in coords))
 
     # -- inspection -----------------------------------------------------------
 
@@ -131,7 +142,7 @@ class AreaDualElement:
         return self + (-other)
 
     def __mul__(self, scalar: ScalarLike) -> "AreaDualElement":
-        coeff = _as_piscalar(scalar)
+        coeff = as_piscalar(scalar)
         out = AreaDualElement.__new__(AreaDualElement)
         out.n = self.n
         out._coords = {idx: c * coeff for idx, c in self._coords.items()} if coeff else {}
@@ -174,12 +185,16 @@ def basis_element(n: int, index: AreaIndex) -> AreaDualElement:
     return AreaDualElement(n, {require_valid(n, index): PiScalar(1)})
 
 
+def _dn_terms(n: int, index: AreaIndex) -> dict[AreaIndex, Fraction]:
+    # A Delta/N index is its own single term; B/Gamma go through the block map.
+    if index.family in (Family.DELTA, Family.N):
+        return {require_valid(n, index): Fraction(1)}
+    return dual_bg_to_dn(n, index)
+
+
 def dual_element(n: int, index: AreaIndex) -> AreaDualElement:
     """Dual basis element of any family, in Delta*/N* coordinates."""
-    require_valid(n, index)
-    if index.family in (Family.DELTA, Family.N):
-        return basis_element(n, index)
-    return AreaDualElement(n, {idx: PiScalar(c) for idx, c in dual_bg_to_dn(n, index).items()})
+    return AreaDualElement(n, _dn_terms(n, index))
 
 
 @lru_cache(maxsize=None)
@@ -424,42 +439,75 @@ def monomial_rank(n: int, degree: int) -> int:
     return rank
 
 
+@lru_cache(maxsize=None)
+def _basis_canonical(n: int, index: AreaIndex) -> CanonicalForm:
+    """Canonical form of one Delta*/N* basis element: one solve per element.
+
+    _gauss_solve picks its pivots from the matrix alone, so the solution it
+    selects is linear in the right-hand side; canonicalize relies on that to
+    assemble the form of any element from these.
+    """
+    degree = index.k
+    rows, cols, matrix = _degree_system(n, degree)
+    solution, _ = _gauss_solve(matrix, [ONE if idx == index else ZERO for idx in rows])
+    phi, psi = {}, {}
+    for (b, on_v), coeff in zip(cols, solution):
+        if coeff:
+            a = (degree - (1 if on_v else 0)) - 2 * b
+            (psi if on_v else phi)[(a, b)] = coeff
+    return CanonicalForm(n, STPoly(phi), STPoly(psi))
+
+
 def canonicalize(x: AreaDualElement) -> CanonicalForm:
-    """Express x as phi(sbar, tbar) + psi(sbar, tbar) vbar, degree by degree."""
+    """Express x as phi(sbar, tbar) + psi(sbar, tbar) vbar, summing the basis forms."""
     n = x.n
     phi = STPoly()
     psi = STPoly()
-    for degree in x.degrees():
-        rows, cols, matrix = _degree_system(n, degree)
-        rhs = [x.coefficient(idx) for idx in rows]
-        solution, _ = _gauss_solve(matrix, rhs)
-        for (b, on_v), coeff in zip(cols, solution):
-            if not coeff:
-                continue
-            a = (degree - (1 if on_v else 0)) - 2 * b
-            term = STPoly.monomial(a, b, coeff)
-            if on_v:
-                psi = psi + term
-            else:
-                phi = phi + term
+    for idx, coeff in x.items():
+        form = _basis_canonical(n, idx)
+        phi = phi + form.phi * coeff
+        psi = psi + form.psi * coeff
     return CanonicalForm(n, phi, psi)
+
+
+def _form_product(cx: CanonicalForm, cy: CanonicalForm) -> AreaDualElement:
+    # vbar^2 = 0 drops the psi_x psi_y term.
+    n = cx.n
+    plain = cx.phi * cy.phi
+    with_v = cx.phi * cy.psi + cy.phi * cx.psi
+    return eval_poly(plain, unit(n)) + eval_poly(with_v, vbar(n))
 
 
 def product(x: AreaDualElement, y: AreaDualElement) -> AreaDualElement:
     """Kinematic product, computed through canonical forms and vbar^2 = 0."""
     if x.n != y.n:
         raise ValueError(f"mixed ambient dimensions: {x.n} vs {y.n}")
-    n = x.n
-    cx, cy = canonicalize(x), canonicalize(y)
-    plain = cx.phi * cy.phi
-    with_v = cx.phi * cy.psi + cy.phi * cx.psi
-    return eval_poly(plain, unit(n)) + eval_poly(with_v, vbar(n))
+    return _form_product(canonicalize(x), canonicalize(y))
+
+
+@lru_cache(maxsize=None)
+def _dn_product(n: int, left: AreaIndex, right: AreaIndex) -> AreaDualElement:
+    # The delta-n structure constants, which b-gamma products are summed from.
+    return _form_product(_basis_canonical(n, left), _basis_canonical(n, right))
 
 
 @lru_cache(maxsize=None)
 def basis_product(n: int, left: AreaIndex, right: AreaIndex) -> AreaDualElement:
-    """Cached product of two dual basis elements (any families)."""
-    return product(dual_element(n, left), dual_element(n, right))
+    """Cached product of two dual basis elements (any families).
+
+    A Delta*/N* pair multiplies the cached canonical forms of its factors.
+    A B* or Gamma* factor is first expanded by the 2x2 block map
+    dual_bg_to_dn into at most two Delta*/N* terms, so a b-gamma product is
+    a combination of at most four cached delta-n products and runs no solve.
+    """
+    left_terms, right_terms = _dn_terms(n, left), _dn_terms(n, right)
+    if left in left_terms and right in right_terms:  # both factors Delta*/N*
+        return _dn_product(n, left, right)
+    total = zero(n)
+    for left_dn, left_coeff in left_terms.items():
+        for right_dn, right_coeff in right_terms.items():
+            total = total + (left_coeff * right_coeff) * _dn_product(n, left_dn, right_dn)
+    return total
 
 
 def product_nn(n: int, left: AreaIndex, right: AreaIndex) -> AreaDualElement:
@@ -491,22 +539,26 @@ def product_nn(n: int, left: AreaIndex, right: AreaIndex) -> AreaDualElement:
     return Fraction((k - 2 * q) * (kp - 2 * qp), 4 * (n - k + q) * (n - kp + qp)) * inner
 
 
+def _delta_star_coefficients(n: int, k: int, q: int) -> tuple[PiScalar, dict[int, Fraction]]:
+    # The prefactor, and the coefficient of t^(k-2i) s^i by i, of the closed form
+    # below; verify_delta_pairing checks these same numbers.
+    require_valid(n, AreaIndex(Family.DELTA, k, q))
+    prefactor = (ball_volume(2 * n - k)
+                 * PiScalar(Fraction(factorial(k - 2 * q) * factorial(n - k + q),
+                                     2 ** (k - 2 * q) * factorial(n)), k - n))
+    coeffs = {i: Fraction((-1) ** (i + q) * factorial(n - i), factorial(i - q) * factorial(k - 2 * i))
+              for i in range(q, k // 2 + 1)}
+    return prefactor, coeffs
+
+
 def delta_star_closed_form(n: int, k: int, q: int) -> STPoly:
     """Polynomial phi with phi(sbar, tbar) = Delta*_{k,q}:
 
     omega_{2n-k} (k-2q)! (n-k+q)! / (pi^(n-k) 2^(k-2q) n!) *
         sum_{i=q}^{floor(k/2)} (-1)^(i+q)/(i-q)! * (n-i)!/(k-2i)! * t^(k-2i) s^i
     """
-    require_valid(n, AreaIndex(Family.DELTA, k, q))
-    prefactor = (ball_volume(2 * n - k)
-                 * PiScalar(Fraction(factorial(k - 2 * q) * factorial(n - k + q),
-                                     2 ** (k - 2 * q) * factorial(n)), k - n))
-    terms = {}
-    for i in range(q, k // 2 + 1):
-        sign = -1 if (i + q) % 2 else 1
-        coeff = Fraction(sign * factorial(n - i), factorial(i - q) * factorial(k - 2 * i))
-        terms[(k - 2 * i, i)] = prefactor * coeff
-    return STPoly(terms)
+    prefactor, coeffs = _delta_star_coefficients(n, k, q)
+    return STPoly({(k - 2 * i, i): prefactor * c for i, c in coeffs.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -613,17 +665,9 @@ def verify_delta_pairing(n: int, k: int, q: int) -> bool:
     omega_{2n-k} (2n-k-2j)! (2j)! C(n-k+q, j) / pi^(2n-k) must equal the
     expansion through unit-ball values of t^(2n-2i-2j) s^i u^j monomials.
     """
-    require_valid(n, AreaIndex(Family.DELTA, k, q))
-    prefactor = (ball_volume(2 * n - k)
-                 * PiScalar(Fraction(factorial(k - 2 * q) * factorial(n - k + q),
-                                     2 ** (k - 2 * q) * factorial(n)), k - n))
+    prefactor, coeffs = _delta_star_coefficients(n, k, q)
     for j in range(0, (2 * n - k) // 2 + 1):
-        total = Fraction(0)
-        for i in range(q, k // 2 + 1):
-            sign = -1 if (i + q) % 2 else 1
-            total += (Fraction(sign * factorial(n - i), factorial(i - q) * factorial(k - 2 * i))
-                      * tsu_ball_value(n, i, j))
-        rhs = prefactor * PiScalar(total * factorial(n), -n)
-        if mustar_pairing(n, k, q, j) != rhs:
+        total = sum(c * tsu_ball_value(n, i, j) for i, c in coeffs.items())
+        if mustar_pairing(n, k, q, j) != prefactor * PiScalar(total * factorial(n), -n):
             return False
     return True

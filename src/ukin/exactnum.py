@@ -211,6 +211,11 @@ ONE = PiScalar(1)
 PI = PiScalar(1, 1)
 
 
+def as_piscalar(value: PiScalar | RationalLike) -> PiScalar:
+    """A PiScalar as is; an int or Fraction as the constant PiScalar."""
+    return value if isinstance(value, PiScalar) else PiScalar(value)
+
+
 def split_sign(coeff: PiScalar) -> tuple[int, PiScalar]:
     """(sign, magnitude) of a nonzero scalar, signed by its lowest-pi-exponent term."""
     _, lead = coeff.terms()[0]

@@ -22,16 +22,22 @@ from fractions import Fraction
 from math import factorial
 from typing import Iterable, Mapping, Union
 
-from .exactnum import ZERO, PiScalar, Rational, add_terms, ball_volume, binomial, join_signed, split_sign
+from .exactnum import (
+    ZERO,
+    PiScalar,
+    Rational,
+    add_terms,
+    as_piscalar,
+    ball_volume,
+    binomial,
+    join_signed,
+    split_sign,
+)
 
 # Monomial key: (t-exponent, s-exponent).
 Monomial = tuple[int, int]
 
 ScalarLike = Union[PiScalar, int, Fraction]
-
-
-def _as_piscalar(value: ScalarLike) -> PiScalar:
-    return value if isinstance(value, PiScalar) else PiScalar(value)
 
 
 class STPoly:
@@ -47,7 +53,7 @@ class STPoly:
     def __init__(self, terms: Mapping[Monomial, ScalarLike] | Iterable[tuple[Monomial, ScalarLike]] = ()):
         if isinstance(terms, Mapping):
             terms = terms.items()
-        self._terms = add_terms({}, ((mono, _as_piscalar(coeff)) for mono, coeff in terms))
+        self._terms = add_terms({}, ((mono, as_piscalar(coeff)) for mono, coeff in terms))
 
     # -- constructors ---------------------------------------------------------
 
@@ -113,7 +119,7 @@ class STPoly:
 
     def __mul__(self, other: "STPoly | ScalarLike") -> "STPoly":
         if isinstance(other, (int, Fraction, PiScalar)):
-            coeff = _as_piscalar(other)
+            coeff = as_piscalar(other)
             if not coeff:
                 return STPoly()
             out = STPoly.__new__(STPoly)

@@ -26,6 +26,7 @@ from .dualalgebra import (
     unit,
     verify_delta_pairing,
     verify_relations,
+    zero,
 )
 from .kinematics import BASIS_B_GAMMA, BASIS_DELTA_N, full_table
 from .stpoly import (
@@ -196,9 +197,26 @@ def algebra_suite(n: int) -> list[CheckResult]:
                 bad.append(f"{left.text()} * {right.text()}")
     checks.append(_sweep("two-route N* products agree", bad))
 
-    bad = [idx.text() for idx in valid_indices(n, Family.DELTA)
-           if eval_poly(delta_star_closed_form(n, idx.k, idx.q), unit(n)) != basis_element(n, idx)]
+    closed_forms = {idx: delta_star_closed_form(n, idx.k, idx.q) for idx in valid_indices(n, Family.DELTA)}
+    bad = [idx.text() for idx, poly in closed_forms.items()
+           if eval_poly(poly, unit(n)) != basis_element(n, idx)]
     checks.append(_sweep("closed form reproduces each Delta* basis element", bad))
+
+    # No Gauss solve on this route: the product of the two closed forms,
+    # evaluated on the unit.
+    deltas = list(closed_forms)
+    bad = []
+    for i, left in enumerate(deltas):
+        for right in deltas[i:]:
+            if left.k + right.k > top:
+                break
+            direct = eval_poly(closed_forms[left] * closed_forms[right], unit(n))
+            if direct != basis_product(n, left, right):
+                bad.append(f"{left.text()} * {right.text()}")
+    checks.append(_sweep("two-route Delta* products agree", bad))
+
+    checks.append(_associativity_check(n))
+    checks.append(_pi_grading_check(n))
 
     counts = census(n)
     bad = [f"degree {d}: rank {monomial_rank(n, d)} != census {counts.per_degree[d]}"
@@ -214,6 +232,48 @@ def algebra_suite(n: int) -> list[CheckResult]:
     checks.append(_sweep("kinematic tables symmetric", bad))
 
     return checks
+
+
+def _associativity_check(n: int) -> CheckResult:
+    """(ab)c = a(bc) for basis triples a <= b <= c of total degree at most 2n-1.
+
+    Both sides expand the inner product in the basis and sum the cached
+    basis products, i.e. they read the structure constants only.
+    """
+    indices = dual_basis_indices(n)
+    top = 2 * n - 1
+    bad = []
+    for i, a in enumerate(indices):
+        for j in range(i, len(indices)):
+            b = indices[j]
+            if a.k + b.k > top:
+                break
+            ab = basis_product(n, a, b)
+            for c in indices[j:]:
+                if a.k + b.k + c.k > top:
+                    break
+                left = sum((coeff * basis_product(n, idx, c) for idx, coeff in ab.items()), zero(n))
+                right = sum((coeff * basis_product(n, a, idx)
+                             for idx, coeff in basis_product(n, b, c).items()), zero(n))
+                if left != right:
+                    bad.append(f"({a.text()} {b.text()}) {c.text()}")
+    return _sweep("associativity (ab)c = a(bc) on basis triples", bad)
+
+
+def _pi_grading_check(n: int) -> CheckResult:
+    """Every coordinate of a basis-pair product of degrees k, l is one pi-monomial,
+    with exponent floor(k/2) + floor(l/2) - floor(r/2) at a coordinate of degree r."""
+    indices = dual_basis_indices(n)
+    bad = []
+    for i, left in enumerate(indices):
+        for right in indices[i:]:
+            if left.k + right.k > 2 * n - 1:
+                break
+            for idx, coeff in basis_product(n, left, right).items():
+                expected = left.k // 2 + right.k // 2 - idx.k // 2
+                if not coeff.is_monomial() or coeff.monomial()[0] != expected:
+                    bad.append(f"{left.text()} * {right.text()} at {idx.text()}: {coeff.text()}")
+    return _sweep("pi-grading of basis-pair products", bad)
 
 
 SUITES = ("relations", "identities", "algebra", "all")

@@ -1,9 +1,11 @@
 """The dual algebra engine: generators, raising rules, canonical forms, products."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
+from ukin import dualalgebra
 from ukin.areabasis import AreaIndex, Family, valid_indices, dual_basis_indices, census
 from ukin.dualalgebra import (
     AreaDualElement,
@@ -27,6 +29,7 @@ from ukin.dualalgebra import (
     verify_relations,
 )
 from ukin.exactnum import PiScalar, ball_volume
+from ukin.kinematics import BASIS_B_GAMMA, BASIS_DELTA_N, full_table
 from ukin.stpoly import STPoly, fu_poly, p_poly
 
 
@@ -188,6 +191,72 @@ class TestCanonicalForm:
     def test_mixed_degrees(self):
         x = unit(2) + Fraction(5, 3) * basis_element(2, N(1, 0)) + sbar(2)
         assert canonicalize(x).evaluate() == x
+
+
+def _per_degree_canonical_form(x):
+    """Reference: one solve per degree with x's own coefficients as right-hand side."""
+    phi, psi = STPoly(), STPoly()
+    for degree in x.degrees():
+        rows, cols, matrix = dualalgebra._degree_system(x.n, degree)
+        solution, _ = dualalgebra._gauss_solve(matrix, [x.coefficient(idx) for idx in rows])
+        for (b, on_v), coeff in zip(cols, solution):
+            term = STPoly.monomial(degree - (1 if on_v else 0) - 2 * b, b, coeff)
+            if on_v:
+                psi = psi + term
+            else:
+                phi = phi + term
+    return phi, psi
+
+
+def _clear_product_caches():
+    for cached in (dualalgebra._basis_canonical, dualalgebra._dn_product, basis_product):
+        cached.cache_clear()
+
+
+class TestMemoizedCanonicalForms:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_equals_per_degree_solve(self, n):
+        dualalgebra._basis_canonical.cache_clear()
+        rng = random.Random(n)
+        indices = dual_basis_indices(n)
+        for _ in range(12):
+            coords = {}
+            for idx in rng.sample(indices, 5):
+                coeff = PiScalar(Fraction(rng.randint(-9, 9), rng.randint(1, 9)), rng.randint(-2, 2))
+                if rng.random() < 0.3:
+                    coeff = coeff + PiScalar(rng.randint(1, 5), 1)
+                coords[idx] = coeff
+            x = element(n, coords)
+            form = canonicalize(x)
+            assert (form.phi, form.psi) == _per_degree_canonical_form(x), x
+
+    @pytest.mark.parametrize("basis", [BASIS_DELTA_N, BASIS_B_GAMMA])
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_full_table_solves_once_per_basis_element(self, n, basis, monkeypatch):
+        _clear_product_caches()
+        solves = []
+        real = dualalgebra._gauss_solve
+
+        def counting(matrix, rhs):
+            if rhs is not None:
+                solves.append(rhs)
+            return real(matrix, rhs)
+
+        monkeypatch.setattr(dualalgebra, "_gauss_solve", counting)
+        full_table(n, basis)
+        assert len(solves) == census(n).total
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_bg_products_match_dual_element_route(self, n):
+        _clear_product_caches()
+        bg = valid_indices(n, Family.B) + valid_indices(n, Family.GAMMA)
+        for left in bg:
+            for right in bg + dual_basis_indices(n):
+                if left.k + right.k > 2 * n - 1:
+                    continue
+                expected = product(dual_element(n, left), dual_element(n, right))
+                assert basis_product(n, left, right) == expected, (left, right)
+                assert basis_product(n, right, left) == expected, (right, left)
 
 
 class TestProducts:
