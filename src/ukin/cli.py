@@ -1,14 +1,17 @@
 """Command-line driver.
 
 Verbs: table, formula, global, semilocal, census, verify, identities.
-Documents go to stdout (or --out, written atomically); verification reports
-go to stderr.  Exit codes: 0 success, 1 verification failure, 2 usage error,
-3 I/O error (e.g. --out names a missing directory or a directory).
+Documents go to stdout or to --out, where a regular file is replaced
+atomically, a symlink is followed and a FIFO or device is written in place;
+verification reports go to stderr.  Exit codes: 0 success, 1 verification
+failure, 2 usage error, 3 I/O error (e.g. --out names a missing directory or
+a directory, or the reader of stdout closed it early).
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -107,19 +110,44 @@ def _report(checks: list[CheckResult]) -> int:
     return VERIFY_FAILURE if failures else 0
 
 
+def _write_stdout(document: str) -> None:
+    # Through the binary layer until every byte is out: an unbuffered stdout
+    # (PYTHONUNBUFFERED) drops the rest of a short write to a pipe whose
+    # reader went away, where the retry raises BrokenPipeError.
+    binary = getattr(sys.stdout, "buffer", None)
+    if binary is None:  # a text-only stream such as io.StringIO
+        sys.stdout.write(document)
+        return
+    sys.stdout.flush()
+    data = memoryview(document.encode(sys.stdout.encoding, sys.stdout.errors))
+    while data:
+        written = binary.write(data)
+        if not written:  # None from a full non-blocking stdout
+            raise BlockingIOError(errno.EAGAIN, "stdout would block")
+        data = data[written:]
+    binary.flush()
+
+
 def _write_document(document: str, out_path: str | None) -> None:
     if not out_path:
-        sys.stdout.write(document)
+        _write_stdout(document)
+        return
+    # A symlink is followed, so the link survives and its target gets the document.
+    path = os.path.realpath(out_path)
+    if os.path.exists(path) and not os.path.isfile(path):
+        # A FIFO or a device is written in place; a rename would replace the node.
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(document)
         return
     # A temp file beside the target, then an atomic rename: a failed run never
     # leaves half a document.
-    head, tail = os.path.split(out_path)
+    head, tail = os.path.split(path)
     temp_path = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
     handle = open(temp_path, "x", encoding="utf-8")
     try:
         with handle:
             handle.write(document)
-        os.replace(temp_path, out_path)
+        os.replace(temp_path, path)
     except BaseException:
         os.unlink(temp_path)
         raise

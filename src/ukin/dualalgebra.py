@@ -15,10 +15,20 @@ product is reduced to those through the canonical form
 
     x = phi(sbar, tbar) + psi(sbar, tbar) * vbar.
 
-The canonical form is solved once per Delta*/N* basis element, by an exact
-linear solve in its degree, and cached; the form of any element is the
-linear combination of those, and each basis-pair product multiplies two
-cached forms once.  B*/Gamma* products are not solved at all: the 2x2 block
+pi never enters the degree systems.  In the rescaled basis
+X'_{k,q} = pi^(-floor(k/2)) X*_{k,q} the raising rules have rational
+coefficients; they are stated once, per (n, family, k, q), and mul_tbar,
+mul_sbar and the generator images are PiScalar views that attach
+pi^(floor(k/2) - floor(k'/2)) to a rule from degree k to k'.  Each degree r
+has one integer matrix, the X' images of its generator monomials over one
+common denominator, and one fraction-free elimination (Bareiss) serves both
+the rank that census checks and the canonical solves.
+
+The canonical form is solved once per Delta*/N* basis element, on the
+integer matrix of its degree, and cached: the form of X*_{k,q} is the
+rational solution for X'_{k,q} times pi^floor(k/2).  The form of any element
+is the linear combination of those, and each basis-pair product multiplies
+two cached forms once.  B*/Gamma* products are not solved at all: the 2x2 block
 maps of areabasis expand each factor into Delta*/N* terms, so they are
 combinations of the cached delta-n products.  Emitted indices outside their
 validity range denote zero and are silently dropped; in particular products
@@ -34,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
 from typing import Iterable, Mapping
 
 from .areabasis import (
@@ -48,8 +58,6 @@ from .areabasis import (
     valid_indices,
 )
 from .exactnum import (
-    ONE,
-    PI,
     ZERO,
     PiScalar,
     add_terms,
@@ -203,10 +211,15 @@ def unit(n: int) -> AreaDualElement:
     return basis_element(n, AreaIndex(Family.DELTA, 0, 0))
 
 
+def _volume_coefficient(m: int) -> Fraction:
+    # omega_m is one pi-monomial, of exponent floor(m/2); its rational factor.
+    return ball_volume(m).coefficient(m // 2)
+
+
 @lru_cache(maxsize=None)
-def _edge_ratio(n: int) -> PiScalar:
-    # 2 omega_{2n-2} / omega_{2n-1}; always rational since the pi-powers cancel.
-    return (2 * ball_volume(2 * n - 2)).div_by_monomial(ball_volume(2 * n - 1))
+def _edge_ratio(n: int) -> Fraction:
+    # 2 omega_{2n-2} / omega_{2n-1}; rational, since both carry pi^(n-1).
+    return 2 * _volume_coefficient(2 * n - 2) / _volume_coefficient(2 * n - 1)
 
 
 @lru_cache(maxsize=None)
@@ -231,76 +244,88 @@ def vbar(n: int) -> AreaDualElement:
 # Multiplication by the generators: one-step raising rules on basis elements.
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _tbar_step(n: int, k: int) -> PiScalar:
-    # omega_{2n-k} / (pi * omega_{2n-k-1})
-    return ball_volume(2 * n - k).div_by_monomial(PI * ball_volume(2 * n - k - 1))
+Rule = tuple[tuple[AreaIndex, Fraction], ...]
 
 
-def _accumulate(acc: dict[AreaIndex, PiScalar], n: int, family: Family, k: int, q: int, coeff: PiScalar) -> None:
+def _rule(n: int, emitted: Iterable[tuple[Family, int, int, Fraction]]) -> Rule:
     # Out-of-range targets denote zero by convention and are dropped.
-    idx = AreaIndex(family, k, q)
-    if is_valid(n, idx):
-        add_terms(acc, ((idx, coeff),))
+    rule = []
+    for family, k, q, coeff in emitted:
+        idx = AreaIndex(family, k, q)
+        if coeff and is_valid(n, idx):
+            rule.append((idx, coeff))
+    return tuple(rule)
+
+
+@lru_cache(maxsize=None)
+def _tbar_rule(n: int, family: Family, k: int, q: int) -> Rule:
+    """tbar * X'_{k,q} in the rescaled basis:
+
+    tbar * Delta'_{k,q} = w_k ((k-2q) Delta'_{k+1,q+1} + 2(n-k+q) Delta'_{k+1,q})
+    tbar * N'_{k,q}     = w_k (k-2q)/(2n-k-1) (Delta'_{k+1,q+1} - Delta'_{k+1,q}
+                          + (2n-k) (N'_{k+1,q+1} + 2(n-k+q-1)/(k-2q+1) N'_{k+1,q}))
+
+    with w_k = omega_{2n-k}/omega_{2n-k-1} without its pi-power: on X* the
+    step is omega_{2n-k}/(pi omega_{2n-k-1}), whose pi^(-(k mod 2)) the
+    rescaling absorbs.
+    """
+    if k + 1 > 2 * n - 1:
+        return ()
+    step = _volume_coefficient(2 * n - k) / _volume_coefficient(2 * n - k - 1)
+    if family is Family.DELTA:
+        return _rule(n, ((Family.DELTA, k + 1, q + 1, step * (k - 2 * q)),
+                         (Family.DELTA, k + 1, q, step * (2 * (n - k + q)))))
+    lead = step * Fraction(k - 2 * q, 2 * n - k - 1)
+    return _rule(n, ((Family.DELTA, k + 1, q + 1, lead),
+                     (Family.DELTA, k + 1, q, -lead),
+                     (Family.N, k + 1, q + 1, lead * (2 * n - k)),
+                     (Family.N, k + 1, q, lead * Fraction(2 * (2 * n - k) * (n - k + q - 1), k - 2 * q + 1))))
+
+
+@lru_cache(maxsize=None)
+def _sbar_rule(n: int, family: Family, k: int, q: int) -> Rule:
+    """sbar * X'_{k,q} in the rescaled basis (the 1/pi of sbar cancels):
+
+    sbar * Delta'_{k,q} = (k-2q)(k-2q-1)/(2 (2n-k)) Delta'_{k+2,q+2}
+                          + 2(n-k+q)(n-q)/(2n-k) Delta'_{k+2,q+1}
+    sbar * N'_{k,q}     = (k-2q)(k-2q-1)/(2 (2n-k-2)) (N'_{k+2,q+2} + 2/(2n-k) Delta'_{k+2,q+2})
+                          + 2(n-q)/(2n-k-2) ((n-k+q-1) N'_{k+2,q+1}
+                                             - (k-2q)/(2n-k) Delta'_{k+2,q+1})
+    """
+    if k + 2 > 2 * n - 1:
+        return ()
+    if family is Family.DELTA:
+        return _rule(n, ((Family.DELTA, k + 2, q + 2, Fraction((k - 2 * q) * (k - 2 * q - 1), 2 * (2 * n - k))),
+                         (Family.DELTA, k + 2, q + 1, Fraction(2 * (n - k + q) * (n - q), 2 * n - k))))
+    top = Fraction((k - 2 * q) * (k - 2 * q - 1), 2 * (2 * n - k - 2))
+    low = Fraction(2 * (n - q), 2 * n - k - 2)
+    return _rule(n, ((Family.N, k + 2, q + 2, top),
+                     (Family.DELTA, k + 2, q + 2, top * Fraction(2, 2 * n - k)),
+                     (Family.N, k + 2, q + 1, low * (n - k + q - 1)),
+                     (Family.DELTA, k + 2, q + 1, -low * Fraction(k - 2 * q, 2 * n - k))))
+
+
+def _apply_rule(x: AreaDualElement, rule) -> AreaDualElement:
+    # A rule coefficient c from X'_{k,q} to X'_{k',q'} acts on X* coordinates
+    # as c * pi^(floor(k/2) - floor(k'/2)).
+    n = x.n
+    acc: dict[AreaIndex, PiScalar] = {}
+    for idx, coeff in x._coords.items():
+        add_terms(acc, ((target, coeff * PiScalar(c, idx.k // 2 - target.k // 2))
+                        for target, c in rule(n, idx.family, idx.k, idx.q)))
+    return AreaDualElement(n, acc)
 
 
 def mul_tbar(x: AreaDualElement) -> AreaDualElement:
-    """Multiply by tbar: linear extension of the degree-raising rules
-
-    tbar * Delta*_{k,q} = w_k ((k-2q) Delta*_{k+1,q+1} + 2(n-k+q) Delta*_{k+1,q})
-    tbar * N*_{k,q}     = w_k (k-2q)/(2n-k-1) (Delta*_{k+1,q+1} - Delta*_{k+1,q}
-                          + (2n-k) (N*_{k+1,q+1} + 2(n-k+q-1)/(k-2q+1) N*_{k+1,q}))
-
-    with w_k = omega_{2n-k}/(pi omega_{2n-k-1}).
-    """
-    n = x.n
-    acc: dict[AreaIndex, PiScalar] = {}
-    for idx, c in x.items():
-        k, q = idx.k, idx.q
-        if k + 1 > 2 * n - 1:
-            continue
-        lead = c * _tbar_step(n, k)
-        if idx.family is Family.DELTA:
-            _accumulate(acc, n, Family.DELTA, k + 1, q + 1, lead * (k - 2 * q))
-            _accumulate(acc, n, Family.DELTA, k + 1, q, lead * (2 * (n - k + q)))
-        else:
-            lead = lead * Fraction(k - 2 * q, 2 * n - k - 1)
-            _accumulate(acc, n, Family.DELTA, k + 1, q + 1, lead)
-            _accumulate(acc, n, Family.DELTA, k + 1, q, -lead)
-            _accumulate(acc, n, Family.N, k + 1, q + 1, lead * (2 * n - k))
-            _accumulate(acc, n, Family.N, k + 1, q,
-                        lead * Fraction(2 * (2 * n - k) * (n - k + q - 1), k - 2 * q + 1))
-    return AreaDualElement(n, acc)
+    """Multiply by tbar: the rules of _tbar_rule on X* coordinates, where the
+    step w_k regains its pi-power, omega_{2n-k}/(pi omega_{2n-k-1})."""
+    return _apply_rule(x, _tbar_rule)
 
 
 def mul_sbar(x: AreaDualElement) -> AreaDualElement:
-    """Multiply by sbar: linear extension of the degree-raising rules
-
-    sbar * Delta*_{k,q} = (k-2q)(k-2q-1)/(2 pi (2n-k)) Delta*_{k+2,q+2}
-                          + 2(n-k+q)(n-q)/(pi (2n-k)) Delta*_{k+2,q+1}
-    sbar * N*_{k,q}     = (k-2q)(k-2q-1)/(2 pi (2n-k-2)) (N*_{k+2,q+2} + 2/(2n-k) Delta*_{k+2,q+2})
-                          + 2(n-q)/(pi (2n-k-2)) ((n-k+q-1) N*_{k+2,q+1}
-                                                  - (k-2q)/(2n-k) Delta*_{k+2,q+1})
-    """
-    n = x.n
-    acc: dict[AreaIndex, PiScalar] = {}
-    for idx, c in x.items():
-        k, q = idx.k, idx.q
-        if k + 2 > 2 * n - 1:
-            continue
-        if idx.family is Family.DELTA:
-            _accumulate(acc, n, Family.DELTA, k + 2, q + 2,
-                        c * PiScalar(Fraction((k - 2 * q) * (k - 2 * q - 1), 2 * (2 * n - k)), -1))
-            _accumulate(acc, n, Family.DELTA, k + 2, q + 1,
-                        c * PiScalar(Fraction(2 * (n - k + q) * (n - q), 2 * n - k), -1))
-        else:
-            top = c * PiScalar(Fraction((k - 2 * q) * (k - 2 * q - 1), 2 * (2 * n - k - 2)), -1)
-            _accumulate(acc, n, Family.N, k + 2, q + 2, top)
-            _accumulate(acc, n, Family.DELTA, k + 2, q + 2, top * Fraction(2, 2 * n - k))
-            low = c * PiScalar(Fraction(2 * (n - q), 2 * n - k - 2), -1)
-            _accumulate(acc, n, Family.N, k + 2, q + 1, low * (n - k + q - 1))
-            _accumulate(acc, n, Family.DELTA, k + 2, q + 1, -(low * Fraction(k - 2 * q, 2 * n - k)))
-    return AreaDualElement(n, acc)
+    """Multiply by sbar: the rules of _sbar_rule on X* coordinates, where every
+    coefficient regains the 1/pi of sbar = n/pi Delta*_{2,1}."""
+    return _apply_rule(x, _sbar_rule)
 
 
 # ---------------------------------------------------------------------------
@@ -308,13 +333,29 @@ def mul_sbar(x: AreaDualElement) -> AreaDualElement:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _generator_image(n: int, t_exp: int, s_exp: int, on_v: bool) -> AreaDualElement:
-    # tbar^a sbar^b applied to the unit (or to vbar when on_v).
+def _rational_image(n: int, t_exp: int, s_exp: int, on_v: bool) -> dict[AreaIndex, Fraction]:
+    # tbar^a sbar^b applied to the unit (or to vbar when on_v), in X'
+    # coordinates; X' = X* in degrees 0 and 1.  Read only, never mutated.
     if t_exp == 0 and s_exp == 0:
-        return vbar(n) if on_v else unit(n)
+        if on_v:
+            return {idx: _edge_ratio(n) * c for idx, c in dual_bg_to_dn(n, AreaIndex(Family.B, 1, 0)).items()}
+        return {AreaIndex(Family.DELTA, 0, 0): Fraction(1)}
     if s_exp > 0:
-        return mul_sbar(_generator_image(n, t_exp, s_exp - 1, on_v))
-    return mul_tbar(_generator_image(n, t_exp - 1, s_exp, on_v))
+        source, rule = _rational_image(n, t_exp, s_exp - 1, on_v), _sbar_rule
+    else:
+        source, rule = _rational_image(n, t_exp - 1, s_exp, on_v), _tbar_rule
+    image: dict[AreaIndex, Fraction] = {}
+    for idx, coeff in source.items():
+        add_terms(image, ((target, coeff * c) for target, c in rule(n, idx.family, idx.k, idx.q)))
+    return image
+
+
+@lru_cache(maxsize=None)
+def _generator_image(n: int, t_exp: int, s_exp: int, on_v: bool) -> AreaDualElement:
+    # The PiScalar view of _rational_image: a degree-r coefficient c on X'_r
+    # is c * pi^(-floor(r/2)) on X*_r.
+    return AreaDualElement(n, {idx: PiScalar(c, -(idx.k // 2))
+                               for idx, c in _rational_image(n, t_exp, s_exp, on_v).items()})
 
 
 def eval_poly(p: STPoly, x: AreaDualElement, with_v: bool = False) -> AreaDualElement:
@@ -379,60 +420,72 @@ def _degree_columns(n: int, degree: int) -> tuple[tuple[int, bool], ...]:
 
 @lru_cache(maxsize=None)
 def _degree_system(n: int, degree: int):
-    """Rows (basis indices of the degree), column keys, and the image matrix."""
+    """Rows (basis indices of the degree), column keys, and the image matrix.
+
+    The matrix holds the X' coordinates of the column images scaled to
+    integers: entry / denominator is the rational coefficient, so on X* the
+    images are matrix * pi^(-floor(degree/2)) / denominator.
+    """
     rows = tuple(indices_of_degree(n, degree))
     cols = _degree_columns(n, degree)
-    images = []
-    for b, on_v in cols:
-        a = (degree - (1 if on_v else 0)) - 2 * b
-        images.append(_generator_image(n, a, b, on_v))
-    matrix = tuple(tuple(img.coefficient(idx) for img in images) for idx in rows)
-    return rows, cols, matrix
+    images = [_rational_image(n, degree - on_v - 2 * b, b, on_v) for b, on_v in cols]
+    denominator = lcm(*(c.denominator for image in images for c in image.values()))
+    scaled = [{idx: c.numerator * (denominator // c.denominator) for idx, c in image.items()} for image in images]
+    matrix = tuple(tuple(column.get(idx, 0) for column in scaled) for idx in rows)
+    return rows, cols, matrix, denominator
 
 
 def _gauss_solve(matrix, rhs):
-    """Exact Gauss-Jordan elimination over PiScalar.
+    """Fraction-free Gauss-Jordan elimination over the integers (Bareiss 1968).
 
     Processes columns left to right, picking the first unused row with a
-    nonzero entry as pivot; pivots stay monomials so exact division applies.
-    Returns (solution, rank) with free variables set to zero, or (None, rank)
-    when rhs is None.  Raises InconsistentSystemError if no solution exists.
+    nonzero entry as pivot.  Each step replaces every other row by
+    (pivot * row - row[col] * pivot_row) / previous pivot, an exact division,
+    so entries stay integers and every pivot row ends with the last pivot on
+    its diagonal.  Returns (solution, rank), the solution as Fractions with
+    free variables set to zero, or (None, rank) when rhs is None; without a
+    right-hand side only the unused rows are reduced.  Raises
+    InconsistentSystemError if no solution exists.
     """
-    nrows = len(matrix)
+    solving = rhs is not None
+    rows = [[*row, value] for row, value in zip(matrix, rhs)] if solving else [list(row) for row in matrix]
+    nrows = len(rows)
     ncols = len(matrix[0]) if nrows else 0
-    rows = [list(r) for r in matrix]
-    vec = list(rhs) if rhs is not None else [ZERO] * nrows
+    width = len(rows[0]) if nrows else 0
     used = [False] * nrows
     pivots: list[tuple[int, int]] = []
+    previous = 1
     for col in range(ncols):
         pivot_row = next((r for r in range(nrows) if not used[r] and rows[r][col]), None)
         if pivot_row is None:
             continue
         used[pivot_row] = True
         pivots.append((pivot_row, col))
-        pivot = rows[pivot_row][col]
+        top = rows[pivot_row]
+        pivot = top[col]
         for r in range(nrows):
-            if r == pivot_row or not rows[r][col]:
+            if r == pivot_row or (used[r] and not solving):
                 continue
-            ratio = rows[r][col].div_by_monomial(pivot)
-            for c in range(col, ncols):
-                if rows[pivot_row][c]:
-                    rows[r][c] = rows[r][c] - ratio * rows[pivot_row][c]
-            vec[r] = vec[r] - ratio * vec[pivot_row]
-    if rhs is None:
+            row = rows[r]
+            factor = row[col]
+            # An unused row is zero left of col; a pivot row is not.
+            for c in range(0 if used[r] else col, width):
+                row[c] = (pivot * row[c] - factor * top[c]) // previous
+        previous = pivot
+    if not solving:
         return None, len(pivots)
     for r in range(nrows):
-        if not used[r] and vec[r]:
+        if not used[r] and rows[r][ncols]:
             raise InconsistentSystemError("inconsistent system: element is outside the generator span")
-    solution = [ZERO] * ncols
+    solution = [Fraction(0)] * ncols
     for pivot_row, col in pivots:
-        solution[col] = vec[pivot_row].div_by_monomial(rows[pivot_row][col])
+        solution[col] = Fraction(rows[pivot_row][ncols], rows[pivot_row][col])
     return solution, len(pivots)
 
 
 def monomial_rank(n: int, degree: int) -> int:
     """Rank of the generator-monomial image matrix in one degree."""
-    _, _, matrix = _degree_system(n, degree)
+    _, _, matrix, _ = _degree_system(n, degree)
     if not matrix:
         return 0
     _, rank = _gauss_solve(matrix, None)
@@ -445,16 +498,18 @@ def _basis_canonical(n: int, index: AreaIndex) -> CanonicalForm:
 
     _gauss_solve picks its pivots from the matrix alone, so the solution it
     selects is linear in the right-hand side; canonicalize relies on that to
-    assemble the form of any element from these.
+    assemble the form of any element from these.  The integer system solves
+    for X'_k; the form of X*_k = pi^floor(k/2) X'_k is that solution times
+    the denominator and pi^floor(k/2).
     """
     degree = index.k
-    rows, cols, matrix = _degree_system(n, degree)
-    solution, _ = _gauss_solve(matrix, [ONE if idx == index else ZERO for idx in rows])
+    rows, cols, matrix, denominator = _degree_system(n, degree)
+    solution, _ = _gauss_solve(matrix, [int(idx == index) for idx in rows])
     phi, psi = {}, {}
     for (b, on_v), coeff in zip(cols, solution):
         if coeff:
             a = (degree - (1 if on_v else 0)) - 2 * b
-            (psi if on_v else phi)[(a, b)] = coeff
+            (psi if on_v else phi)[(a, b)] = PiScalar(coeff * denominator, degree // 2)
     return CanonicalForm(n, STPoly(phi), STPoly(psi))
 
 

@@ -28,6 +28,7 @@ from .dualalgebra import (
     verify_relations,
     zero,
 )
+from .exactnum import add_terms
 from .kinematics import BASIS_B_GAMMA, BASIS_DELTA_N, full_table
 from .stpoly import (
     STPoly,
@@ -52,21 +53,35 @@ MAX_TSU_N = 8
 MAX_RECURRENCE_N = 15
 
 
-def p_series(upto: int) -> list[STPoly]:
-    """p_0..p_upto through the geometric-series recurrence p_k = -t p_{k-1} - s p_{k-2}."""
-    t, s = STPoly.var_t(), STPoly.var_s()
-    out = [STPoly.constant(1)]
-    if upto >= 1:
-        out.append(-t)
-    for k in range(2, upto + 1):
-        out.append(-(t * out[k - 1]) - s * out[k - 2])
+def _p_coefficients(upto: int) -> list[dict[tuple[int, int], int]]:
+    # Integer coefficients of p_0..p_upto by (t-exponent, s-exponent), through
+    # the geometric-series recurrence p_k = -t p_{k-1} - s p_{k-2}.
+    out = [{(0, 0): 1}]
+    for k in range(1, upto + 1):
+        terms: dict[tuple[int, int], int] = {}
+        add_terms(terms, (((a + 1, b), -c) for (a, b), c in out[k - 1].items()))
+        if k >= 2:
+            add_terms(terms, (((a, b + 1), -c) for (a, b), c in out[k - 2].items()))
+        out.append(terms)
     return out[: upto + 1]
 
 
+def p_series(upto: int) -> list[STPoly]:
+    """p_0..p_upto through the geometric-series recurrence p_k = -t p_{k-1} - s p_{k-2}."""
+    return [STPoly(terms) for terms in _p_coefficients(upto)]
+
+
 def q_series(upto: int) -> list[STPoly]:
-    """q_0..q_upto as minus the Cauchy square of the p-series."""
-    ps = p_series(upto)
-    return [-sum((ps[i] * ps[k - i] for i in range(k + 1)), STPoly()) for k in range(upto + 1)]
+    """q_0..q_upto as minus the Cauchy square of the p-series, over integer coefficients."""
+    ps = _p_coefficients(upto)
+    out = []
+    for k in range(upto + 1):
+        terms: dict[tuple[int, int], int] = {}
+        for i in range(k + 1):
+            add_terms(terms, (((a1 + a2, b1 + b2), -c1 * c2)
+                              for (a1, b1), c1 in ps[i].items() for (a2, b2), c2 in ps[k - i].items()))
+        out.append(STPoly(terms))
+    return out
 
 
 def f_series(upto: int) -> list[STPoly]:

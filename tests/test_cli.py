@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -121,6 +122,64 @@ class TestOutErrors:
         self.assert_io_error(result)
         assert [p.name for p in tmp_path.iterdir()] == ["existing"]
         assert list(target.iterdir()) == []
+
+
+class TestOutSpecialFiles:
+    """--out follows a symlink and writes a FIFO in place instead of replacing either."""
+
+    def test_symlink_survives_and_target_gets_document(self, tmp_path):
+        target = tmp_path / "target.json"
+        target.write_text("stale")
+        link = tmp_path / "link.json"
+        link.symlink_to(target)
+        assert main(["table", "--n", "2", "--format", "json", "--out", str(link)]) == 0
+        assert link.is_symlink() and link.resolve() == target.resolve()
+        assert target.read_text() == (GOLDEN / "n2_table.json").read_text()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "target.json"]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+    def test_fifo_reader_gets_every_byte(self, tmp_path):
+        fifo = tmp_path / "doc.fifo"
+        os.mkfifo(fifo)
+        received = []
+
+        def read_all():
+            with open(fifo, "rb") as handle:
+                received.append(handle.read())
+
+        reader = threading.Thread(target=read_all, daemon=True)
+        reader.start()
+        result = subprocess.run(
+            [sys.executable, "-m", "ukin", "table", "--n", "2", "--format", "json", "--out", str(fifo)],
+            capture_output=True, env=cli_env(), timeout=120,
+        )
+        reader.join(timeout=60)
+        assert not reader.is_alive()
+        assert result.returncode == 0, result.stderr
+        assert received == [(GOLDEN / "n2_table.json").read_bytes()]
+        assert [p.name for p in tmp_path.iterdir()] == ["doc.fifo"]
+
+
+class TestStdoutErrors:
+    """A reader that closes stdout early is exit 3 with one stderr line, buffered or not."""
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_closed_pipe(self, unbuffered):
+        env = dict(cli_env(), PYTHONUNBUFFERED="1") if unbuffered else cli_env()
+        # The n = 6 JSON table is about 0.9 MB, far more than a pipe buffers.
+        proc = subprocess.Popen([sys.executable, "-m", "ukin", "table", "--n", "6", "--format", "json"],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        try:
+            assert proc.stdout.read(10) == b'{\n  "n": 6'
+            proc.stdout.close()
+            assert proc.wait(timeout=120) == 3
+            stderr = proc.stderr.read().decode()
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stderr.close()
+        assert stderr.startswith("ukin: error: cannot write stdout")
+        assert stderr.count("\n") == 1
 
 
 class TestDeterminism:

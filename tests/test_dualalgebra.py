@@ -9,6 +9,7 @@ from ukin import dualalgebra
 from ukin.areabasis import AreaIndex, Family, valid_indices, dual_basis_indices, census
 from ukin.dualalgebra import (
     AreaDualElement,
+    InconsistentSystemError,
     basis_element,
     basis_product,
     canonicalize,
@@ -172,15 +173,14 @@ class TestCanonicalForm:
     def test_b_duals_lie_in_vbar_ideal(self):
         # every B* element is psi(sbar, tbar) * vbar for some psi: restricting
         # the degree system to the vbar columns must stay solvable
-        from ukin.dualalgebra import _degree_system, _gauss_solve
         for n in (2, 3, 4):
             for b in valid_indices(n, Family.B):
                 x = dual_element(n, b)
-                rows, cols, matrix = _degree_system(n, b.k)
+                rows, cols, matrix = _piscalar_degree_system(n, b.k)
                 keep = [i for i, (_, on_v) in enumerate(cols) if on_v]
                 restricted = [[row[i] for i in keep] for row in matrix]
                 rhs = [x.coefficient(idx) for idx in rows]
-                _gauss_solve(restricted, rhs)  # raises if outside the ideal
+                _reference_gauss_solve(restricted, rhs)  # raises if outside the ideal
 
     def test_round_trip_every_basis_element(self):
         for n in (2, 3, 4):
@@ -193,12 +193,56 @@ class TestCanonicalForm:
         assert canonicalize(x).evaluate() == x
 
 
+def _piscalar_degree_system(n, degree):
+    """Rows, column keys and the PiScalar image matrix read from _generator_image."""
+    rows, cols, _, _ = dualalgebra._degree_system(n, degree)
+    images = [dualalgebra._generator_image(n, degree - on_v - 2 * b, b, on_v) for b, on_v in cols]
+    return rows, cols, [[image.coefficient(idx) for image in images] for idx in rows]
+
+
+def _reference_gauss_solve(matrix, rhs):
+    """Reference solver: exact Gauss-Jordan elimination over PiScalar.
+
+    Same pivot rule as dualalgebra._gauss_solve (columns left to right, first
+    unused row with a nonzero entry); pivots stay monomials so exact division
+    applies.  Returns (solution, rank) with free variables set to zero.
+    """
+    nrows = len(matrix)
+    ncols = len(matrix[0]) if nrows else 0
+    rows = [list(r) for r in matrix]
+    vec = list(rhs)
+    used = [False] * nrows
+    pivots = []
+    for col in range(ncols):
+        pivot_row = next((r for r in range(nrows) if not used[r] and rows[r][col]), None)
+        if pivot_row is None:
+            continue
+        used[pivot_row] = True
+        pivots.append((pivot_row, col))
+        pivot = rows[pivot_row][col]
+        for r in range(nrows):
+            if r == pivot_row or not rows[r][col]:
+                continue
+            ratio = rows[r][col].div_by_monomial(pivot)
+            for c in range(col, ncols):
+                if rows[pivot_row][c]:
+                    rows[r][c] = rows[r][c] - ratio * rows[pivot_row][c]
+            vec[r] = vec[r] - ratio * vec[pivot_row]
+    for r in range(nrows):
+        if not used[r] and vec[r]:
+            raise InconsistentSystemError("inconsistent system: element is outside the generator span")
+    solution = [PiScalar()] * ncols
+    for pivot_row, col in pivots:
+        solution[col] = vec[pivot_row].div_by_monomial(rows[pivot_row][col])
+    return solution, len(pivots)
+
+
 def _per_degree_canonical_form(x):
     """Reference: one solve per degree with x's own coefficients as right-hand side."""
     phi, psi = STPoly(), STPoly()
     for degree in x.degrees():
-        rows, cols, matrix = dualalgebra._degree_system(x.n, degree)
-        solution, _ = dualalgebra._gauss_solve(matrix, [x.coefficient(idx) for idx in rows])
+        rows, cols, matrix = _piscalar_degree_system(x.n, degree)
+        solution, _ = _reference_gauss_solve(matrix, [x.coefficient(idx) for idx in rows])
         for (b, on_v), coeff in zip(cols, solution):
             term = STPoly.monomial(degree - (1 if on_v else 0) - 2 * b, b, coeff)
             if on_v:
@@ -257,6 +301,56 @@ class TestMemoizedCanonicalForms:
                 expected = product(dual_element(n, left), dual_element(n, right))
                 assert basis_product(n, left, right) == expected, (left, right)
                 assert basis_product(n, right, left) == expected, (right, left)
+
+
+class TestIntegerDegreeSystems:
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_image_matrix_is_generator_images_rescaled(self, n):
+        # Column (b, on_v) of degree r is tbar^a sbar^b applied to the unit or
+        # to vbar; mul_tbar and mul_sbar give it in X* coordinates, and the
+        # integer matrix over its denominator is that times pi^floor(r/2).
+        for degree in range(2 * n):
+            rows, cols, matrix, denominator = dualalgebra._degree_system(n, degree)
+            _, _, reference = _piscalar_degree_system(n, degree)
+            for j, (b, on_v) in enumerate(cols):
+                image = vbar(n) if on_v else unit(n)
+                for _ in range(degree - on_v - 2 * b):
+                    image = mul_tbar(image)
+                for _ in range(b):
+                    image = mul_sbar(image)
+                for i, idx in enumerate(rows):
+                    scaled = PiScalar(Fraction(matrix[i][j], denominator), -(degree // 2))
+                    assert scaled == image.coefficient(idx) == reference[i][j], (n, degree, idx, b, on_v)
+
+    def test_bareiss_matches_reference_on_rank_deficient_systems(self):
+        # Low-rank integer matrices, with consistent and inconsistent right-hand sides.
+        rng = random.Random(7)
+        for _ in range(300):
+            nrows, ncols, rank = rng.randint(1, 7), rng.randint(1, 7), rng.randint(1, 5)
+            left = [[rng.randint(-5, 5) for _ in range(rank)] for _ in range(nrows)]
+            right = [[rng.randint(-3, 3) for _ in range(ncols)] for _ in range(rank)]
+            matrix = [[sum(left[i][t] * right[t][j] for t in range(rank)) for j in range(ncols)]
+                      for i in range(nrows)]
+            rhs = [rng.randint(-3, 3) for _ in range(nrows)]
+            if rng.random() < 0.5:
+                x = [rng.randint(-4, 4) for _ in range(ncols)]
+                rhs = [sum(row[j] * x[j] for j in range(ncols)) for row in matrix]
+            try:
+                expected = _reference_gauss_solve([[PiScalar(v) for v in row] for row in matrix],
+                                                  [PiScalar(v) for v in rhs])
+            except InconsistentSystemError:
+                with pytest.raises(InconsistentSystemError):
+                    dualalgebra._gauss_solve(matrix, rhs)
+                continue
+            solution, rank_found = dualalgebra._gauss_solve(matrix, rhs)
+            assert ([PiScalar(c) for c in solution], rank_found) == expected, (matrix, rhs)
+            assert dualalgebra._gauss_solve(matrix, None) == (None, rank_found)
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_integer_solve_matches_piscalar_reference(self, n):
+        for idx in dual_basis_indices(n):
+            form = dualalgebra._basis_canonical(n, idx)
+            assert (form.phi, form.psi) == _per_degree_canonical_form(basis_element(n, idx)), (n, idx)
 
 
 class TestProducts:
@@ -375,7 +469,7 @@ class TestRelations:
 
 
 class TestGradedDimension:
-    @pytest.mark.parametrize("n", range(2, 6))
+    @pytest.mark.parametrize("n", range(2, 25))
     def test_rank_equals_census(self, n):
         counts = census(n)
         for degree in range(2 * n):

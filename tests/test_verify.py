@@ -2,8 +2,9 @@
 
 import pytest
 
-from ukin import verify
+from ukin import dualalgebra, verify
 from ukin.areabasis import AreaIndex, Family
+from ukin.cli import main
 from ukin.dualalgebra import AreaDualElement
 from ukin.exactnum import PI
 
@@ -56,3 +57,40 @@ def test_delta_route_fails_on_changed_coefficient(monkeypatch):
                            lambda c: 2 * c)
     check = _algebra_checks(3)[DELTA_ROUTE]
     assert not check.passed and check.detail == "Delta:1,0 * Delta:2,1"
+
+
+# Every cache that holds a value derived from the raising rules, taken before
+# any test patches a name.
+RULE_CACHES = tuple(getattr(dualalgebra, name) for name in (
+    "_tbar_rule", "_sbar_rule", "_rational_image", "_generator_image", "_degree_system",
+    "_basis_canonical", "_dn_product", "basis_product"))
+
+
+def _clear_rule_caches():
+    for cached in RULE_CACHES:
+        cached.cache_clear()
+
+
+@pytest.fixture
+def fresh_rule_caches():
+    _clear_rule_caches()
+    yield
+    _clear_rule_caches()
+
+
+def test_changed_rule_coefficient_fails_verify(monkeypatch, capsys, fresh_rule_caches):
+    # One coefficient of the rescaled rule sbar * N'_{3,1} at n = 4, doubled.
+    real = dualalgebra._sbar_rule
+
+    def patched(n, family, k, q):
+        rule = real(n, family, k, q)
+        if (n, family, k, q) != (4, Family.N, 3, 1):
+            return rule
+        (idx, coeff), *rest = rule
+        return ((idx, 2 * coeff), *rest)
+
+    monkeypatch.setattr(dualalgebra, "_sbar_rule", patched)
+    assert main(["verify", "--n", "4", "--suite", "all"]) == 1
+    report = capsys.readouterr().err
+    assert "operator commutativity sbar tbar = tbar sbar: FAIL  [N:2,0; N:3,1]" in report
+    assert "p_4*v = 0: FAIL" in report
