@@ -1,6 +1,6 @@
 """Byte gate: SHA-256 of every golden CLI document, compared byte for byte.
 
-The documents are `table` for n = 2..6 in both bases, and every `global`
+The documents are `table` for n = 2..7 in both bases, and every `global`
 (Delta) and `semilocal` (Delta and N) target for n = 2 and 3, each as text,
 latex and json.  They are produced by `ukin.cli.main` in-process with stdout
 captured; `tests/golden/digests.json` maps each command line to the digest of
@@ -31,7 +31,7 @@ def documents() -> list[str]:
     """Every gated command line, as the space-joined argv given to `main`."""
     commands = [
         f"table --n {n} --basis {basis} --format {fmt}"
-        for n in range(2, 7) for basis in ("delta-n", "b-gamma") for fmt in FORMATS
+        for n in range(2, 8) for basis in ("delta-n", "b-gamma") for fmt in FORMATS
     ]
     for n in (2, 3):
         targets = {
@@ -59,7 +59,7 @@ def stored() -> dict[str, str]:
 
 
 def test_digest_file_covers_exactly_the_gated_documents(stored):
-    assert len(documents()) == 126
+    assert len(documents()) == 132
     assert sorted(stored) == sorted(documents())
 
 
