@@ -60,7 +60,6 @@ from .kinematics import (
     full_table,
     global_formula,
     local_formula,
-    product_table,
     semilocal_formula,
 )
 
@@ -76,7 +75,7 @@ __all__ = [
     "global_formula", "local_formula", "module_recurrence", "monomial_rank",
     "mul_sbar", "mul_tbar", "mustar_pairing", "p_poly", "parse_index",
     "primal_bg_from_dn", "primal_dn_from_bg", "product", "product_nn",
-    "product_table", "q_poly", "sbar", "semilocal_formula", "tbar",
+    "q_poly", "sbar", "semilocal_formula", "tbar",
     "tsu_ball_value", "unit", "valid_indices", "vbar", "verify_delta_pairing",
     "verify_relations", "wz_certificate_check",
 ]

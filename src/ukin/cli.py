@@ -36,11 +36,6 @@ VERIFY_FAILURE = 1
 IO_ERROR = 3
 
 
-class _Parser(argparse.ArgumentParser):
-    # argparse already exits with status 2 on bad flags; keep that contract.
-    pass
-
-
 def _add_common(sub: argparse.ArgumentParser, *, target: bool = False, basis: bool = False,
                 fmt: bool = False) -> None:
     sub.add_argument("--n", type=int, required=True, metavar="N",
@@ -58,8 +53,8 @@ def _add_common(sub: argparse.ArgumentParser, *, target: bool = False, basis: bo
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="ukin",
-                     description="Exact kinematic formulas for unitary area measures.")
+    parser = argparse.ArgumentParser(prog="ukin",
+                                     description="Exact kinematic formulas for unitary area measures.")
     subs = parser.add_subparsers(dest="verb", required=True)
 
     table = subs.add_parser("table", help="full array of kinematic formulas")

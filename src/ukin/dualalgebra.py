@@ -27,15 +27,16 @@ the rank that census checks and the canonical solves.
 The canonical form is solved once per Delta*/N* basis element, on the
 integer matrix of its degree, and cached: the form of X*_{k,q} is the
 rational solution for X'_{k,q} times pi^floor(k/2).  The form of any element
-is the linear combination of those, and each basis-pair product multiplies
-two cached forms once.  B*/Gamma* products are not solved at all: the 2x2 block
-maps of areabasis expand each factor into Delta*/N* terms, so they are
-combinations of the cached delta-n products.  Emitted indices outside their
-validity range denote zero and are silently dropped; in particular products
-of total degree above 2n-1 vanish.
+is the linear combination of those.  There is one product cache, the delta-n
+structure constants: each ordered Delta*/N* pair multiplies its two cached
+forms once.  B*/Gamma* products are neither solved nor cached: the 2x2 block
+maps of areabasis expand each factor into Delta*/N* terms, and basis_product
+combines the cached delta-n products on every call.  Emitted indices outside
+their validity range denote zero and are silently dropped; in particular
+products of total degree above 2n-1 vanish.
 
 Elements are immutable and all public operations are pure given n; the
-memoized image matrices and product tables recompute idempotently, so
+memoized image matrices and structure constants recompute idempotently, so
 concurrent use needs no coordination.
 """
 
@@ -170,8 +171,11 @@ class AreaDualElement:
         return f"AreaDualElement(n={self.n}, {self.text()!r})"
 
 
+_DN_FAMILIES = (Family.DELTA, Family.N)
+
+
 def _require_dual(n: int, idx: AreaIndex) -> AreaIndex:
-    if idx.family not in (Family.DELTA, Family.N):
+    if idx.family not in _DN_FAMILIES:
         raise InvalidIndexError(f"dual elements use Delta*/N* coordinates only, got {idx.text()}")
     return require_valid(n, idx)
 
@@ -195,7 +199,7 @@ def basis_element(n: int, index: AreaIndex) -> AreaDualElement:
 
 def _dn_terms(n: int, index: AreaIndex) -> dict[AreaIndex, Fraction]:
     # A Delta/N index is its own single term; B/Gamma go through the block map.
-    if index.family in (Family.DELTA, Family.N):
+    if index.family in _DN_FAMILIES:
         return {require_valid(n, index): Fraction(1)}
     return dual_bg_to_dn(n, index)
 
@@ -358,15 +362,9 @@ def _generator_image(n: int, t_exp: int, s_exp: int, on_v: bool) -> AreaDualElem
                                for idx, c in _rational_image(n, t_exp, s_exp, on_v).items()})
 
 
-def eval_poly(p: STPoly, x: AreaDualElement, with_v: bool = False) -> AreaDualElement:
-    """Apply the operator polynomial p(sbar, tbar) to x.
-
-    With with_v set, the result is additionally multiplied by vbar; for the
-    common case x = unit this just starts the operator recursion at vbar.
-    """
+def eval_poly(p: STPoly, x: AreaDualElement) -> AreaDualElement:
+    """Apply the operator polynomial p(sbar, tbar) to x."""
     n = x.n
-    if with_v:
-        x = vbar(n) if x == unit(n) else product(x, vbar(n))
     if x == unit(n) or x == vbar(n):
         on_v = x == vbar(n)
         total = zero(n)
@@ -542,25 +540,26 @@ def product(x: AreaDualElement, y: AreaDualElement) -> AreaDualElement:
 
 @lru_cache(maxsize=None)
 def _dn_product(n: int, left: AreaIndex, right: AreaIndex) -> AreaDualElement:
-    # The delta-n structure constants, which b-gamma products are summed from.
-    return _form_product(_basis_canonical(n, left), _basis_canonical(n, right))
+    # The delta-n structure constants, keyed by the ordered Delta*/N* pair:
+    # the one product cache.  Indices are checked on a miss only.
+    return _form_product(_basis_canonical(n, _require_dual(n, left)),
+                         _basis_canonical(n, _require_dual(n, right)))
 
 
-@lru_cache(maxsize=None)
 def basis_product(n: int, left: AreaIndex, right: AreaIndex) -> AreaDualElement:
-    """Cached product of two dual basis elements (any families).
+    """Product of two dual basis elements (any families); an uncached view.
 
-    A Delta*/N* pair multiplies the cached canonical forms of its factors.
+    A Delta*/N* pair is one lookup of the cached delta-n structure constants.
     A B* or Gamma* factor is first expanded by the 2x2 block map
-    dual_bg_to_dn into at most two Delta*/N* terms, so a b-gamma product is
-    a combination of at most four cached delta-n products and runs no solve.
+    dual_bg_to_dn into at most two Delta*/N* terms, so a b-gamma product
+    combines at most four cached delta-n products, runs no solve and is not
+    cached itself.
     """
-    left_terms, right_terms = _dn_terms(n, left), _dn_terms(n, right)
-    if left in left_terms and right in right_terms:  # both factors Delta*/N*
+    if left.family in _DN_FAMILIES and right.family in _DN_FAMILIES:
         return _dn_product(n, left, right)
     total = zero(n)
-    for left_dn, left_coeff in left_terms.items():
-        for right_dn, right_coeff in right_terms.items():
+    for left_dn, left_coeff in _dn_terms(n, left).items():
+        for right_dn, right_coeff in _dn_terms(n, right).items():
             total = total + (left_coeff * right_coeff) * _dn_product(n, left_dn, right_dn)
     return total
 
@@ -645,9 +644,9 @@ def verify_relations(n: int) -> list[CheckResult]:
         _zero_check(f"f_{n + 2}(sbar, tbar) = 0", eval_poly(fu_poly(n + 2), unit(n))),
         _zero_check(
             f"p_{n} - q_{n - 1}*v = 0",
-            eval_poly(p_poly(n), unit(n)) - eval_poly(q_poly(n - 1), unit(n), with_v=True),
+            eval_poly(p_poly(n), unit(n)) - eval_poly(q_poly(n - 1), vbar(n)),
         ),
-        _zero_check(f"p_{n}*v = 0", eval_poly(p_poly(n), unit(n), with_v=True)),
+        _zero_check(f"p_{n}*v = 0", eval_poly(p_poly(n), vbar(n))),
     ]
 
     b_indices = valid_indices(n, Family.B)

@@ -4,9 +4,12 @@ A kinematic formula for a primal basis measure Psi is the expansion
 A(Psi) = sum c_ij  b_i (x) b_j over pairs of primal basis measures with
 deg b_i + deg b_j = deg Psi.  The coefficients are extracted by duality:
 c_ij is the pairing of the dual product b*_i b*_j against Psi, where matched
-dual/primal bases pair diagonally.  Globalization keeps only pairs that
-survive on the full sphere, turning area-measure slots into the global
-valuations mu_{k,q}.
+dual/primal bases pair diagonally.  Every table, one target or all of them,
+comes from a single pass over the slot pairs: each pair's product is read
+once from the delta-n structure constants and scattered into the tables of
+all targets of its degree.  Globalization keeps only pairs that survive on
+the full sphere, turning area-measure slots into the global valuations
+mu_{k,q}.
 """
 
 from __future__ import annotations
@@ -25,8 +28,8 @@ from .areabasis import (
     require_valid,
     valid_indices,
 )
-from .dualalgebra import AreaDualElement, basis_product
-from .exactnum import PiScalar, join_signed, split_sign
+from .dualalgebra import basis_product
+from .exactnum import PiScalar, add_terms, join_signed, split_sign
 
 BASIS_DELTA_N = "delta-n"
 BASIS_B_GAMMA = "b-gamma"
@@ -67,42 +70,36 @@ def _families_for(basis: str) -> tuple[Family, Family]:
         raise ValueError(f"unknown basis {basis!r}; expected 'delta-n' or 'b-gamma'") from None
 
 
-def product_table(n: int, d1: int, d2: int, basis: str = BASIS_DELTA_N) -> dict[Pair, AreaDualElement]:
-    """All pairwise dual-basis products in one degree split."""
-    if d1 < 0 or d2 < 0 or d1 + d2 > 2 * n - 1:
-        raise ValueError(f"degree split ({d1}, {d2}) outside 0..{2 * n - 1}")
-    families = _families_for(basis)
-    out: dict[Pair, AreaDualElement] = {}
-    for left in indices_of_degree(n, d1, families):
-        for right in indices_of_degree(n, d2, families):
-            out[(left, right)] = basis_product(n, left, right)
-    return out
-
-
 def _target_dn_coordinates(n: int, target: AreaIndex) -> dict[AreaIndex, Fraction]:
     if target.family in (Family.DELTA, Family.N):
         return {target: Fraction(1)}
     return primal_dn_from_bg(n, target)
 
 
-def _pair_table(n: int, target: AreaIndex, basis: str, left_families: tuple[Family, ...],
-                right_families: tuple[Family, ...], kind: str = "local") -> KinematicTable:
-    # Pair the dual products b*_l b*_r against the target, visiting only the
-    # left and right slot families the table keeps.
-    target_coords = _target_dn_coordinates(n, target)
-    entries: dict[Pair, PiScalar] = {}
-    degree = target.k
-    for d1 in range(degree + 1):
-        rights = indices_of_degree(n, degree - d1, right_families)
-        for left in indices_of_degree(n, d1, left_families):
-            for right in rights:
-                prod = basis_product(n, left, right)
-                coeff = PiScalar()
-                for idx, weight in target_coords.items():
-                    coeff = coeff + prod.coefficient(idx) * weight
-                if coeff:
-                    entries[(left, right)] = coeff
-    return KinematicTable(n, target, basis, entries, kind)
+def _pair_tables(n: int, targets: list[AreaIndex], basis: str, left_families: tuple[Family, ...],
+                 right_families: tuple[Family, ...], kind: str = "local") -> list[KinematicTable]:
+    # One pass over the slot pairs the tables keep: each dual product
+    # b*_l b*_r is read once and scattered, through the Delta/N coordinates of
+    # the targets of its degree, into every one of their tables.
+    entries: list[dict[Pair, PiScalar]] = [{} for _ in targets]
+    readers: dict[int, dict[AreaIndex, list[tuple[dict, Fraction]]]] = {}
+    for target, acc in zip(targets, entries):
+        by_coordinate = readers.setdefault(target.k, {})
+        for idx, weight in _target_dn_coordinates(n, target).items():
+            by_coordinate.setdefault(idx, []).append((acc, weight))
+    for degree, by_coordinate in readers.items():
+        for d1 in range(degree + 1):
+            rights = indices_of_degree(n, degree - d1, right_families)
+            for left in indices_of_degree(n, d1, left_families):
+                for right in rights:
+                    prod = basis_product(n, left, right)
+                    pair = (left, right)
+                    for idx, scatter in by_coordinate.items():
+                        coeff = prod.coefficient(idx)
+                        if coeff:
+                            for acc, weight in scatter:
+                                add_terms(acc, ((pair, coeff * weight),))
+    return [KinematicTable(n, target, basis, acc, kind) for target, acc in zip(targets, entries)]
 
 
 def local_formula(n: int, target: AreaIndex, basis: str = BASIS_DELTA_N) -> KinematicTable:
@@ -112,7 +109,7 @@ def local_formula(n: int, target: AreaIndex, basis: str = BASIS_DELTA_N) -> Kine
     if target.family not in families:
         raise InvalidIndexError(
             f"target {target.text()} does not belong to the {basis} basis")
-    return _pair_table(n, target, basis, families, families)
+    return _pair_tables(n, [target], basis, families, families)[0]
 
 
 def full_table(n: int, basis: str = BASIS_DELTA_N) -> list[KinematicTable]:
@@ -120,13 +117,13 @@ def full_table(n: int, basis: str = BASIS_DELTA_N) -> list[KinematicTable]:
     families = _families_for(basis)
     targets = sorted((idx for family in families for idx in valid_indices(n, family)),
                      key=lambda idx: idx.sort_key)
-    return [local_formula(n, target, basis) for target in targets]
+    return _pair_tables(n, targets, basis, families, families)
 
 
 def global_formula(n: int, k: int, q: int) -> KinematicTable:
     """Globalized formula for mu_{k,q}: N-slots vanish on the full sphere."""
     target = require_valid(n, AreaIndex(Family.DELTA, k, q))
-    return _pair_table(n, target, BASIS_DELTA_N, (Family.DELTA,), (Family.DELTA,), kind="global")
+    return _pair_tables(n, [target], BASIS_DELTA_N, (Family.DELTA,), (Family.DELTA,), kind="global")[0]
 
 
 def semilocal_formula(n: int, target: AreaIndex) -> KinematicTable:
@@ -134,7 +131,8 @@ def semilocal_formula(n: int, target: AreaIndex) -> KinematicTable:
     require_valid(n, target)
     if target.family not in (Family.DELTA, Family.N):
         raise InvalidIndexError("semilocal targets use the Delta/N basis")
-    return _pair_table(n, target, BASIS_DELTA_N, (Family.DELTA, Family.N), (Family.DELTA,), kind="semilocal")
+    return _pair_tables(n, [target], BASIS_DELTA_N, (Family.DELTA, Family.N), (Family.DELTA,),
+                        kind="semilocal")[0]
 
 
 # ---------------------------------------------------------------------------

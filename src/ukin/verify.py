@@ -109,6 +109,12 @@ def _sweep(name: str, failures: list[str]) -> CheckResult:
     return CheckResult(name, not failures, "; ".join(failures[:8]))
 
 
+def _ball_values_check(n: int) -> CheckResult:
+    bad = [f"(i={i}, j={j})" for i in range(n + 1) for j in range(n - i + 1)
+           if tsu_ball_value(n, i, j) != tsu_ball_value_oracle(n, i, j)]
+    return _sweep(f"t,s,u ball values closed form vs expansion (n={n})", bad)
+
+
 def identities_suite(n: int) -> list[CheckResult]:
     """Identity sweeps plus the dimension-n two-route checks."""
     checks: list[CheckResult] = []
@@ -138,12 +144,7 @@ def identities_suite(n: int) -> list[CheckResult]:
                     bad.append(f"(r={r}, m={m}, i={i})")
     checks.append(_sweep(f"telescoping certificate termwise (r <= {MAX_WZ_R})", bad))
 
-    bad = []
-    for i in range(n + 1):
-        for j in range(n - i + 1):
-            if tsu_ball_value(n, i, j) != tsu_ball_value_oracle(n, i, j):
-                bad.append(f"(i={i}, j={j})")
-    checks.append(_sweep(f"t,s,u ball values closed form vs expansion (n={n})", bad))
+    checks.append(_ball_values_check(n))
 
     bad = [idx.text() for idx in valid_indices(n, Family.DELTA)
            if not verify_delta_pairing(n, idx.k, idx.q)]
@@ -161,13 +162,7 @@ def identities_suite(n: int) -> list[CheckResult]:
 def identity_sweeps() -> list[CheckResult]:
     """The full identity sweeps at their acceptance bounds (dimension-free driver)."""
     checks = identities_suite(MAX_TSU_N)
-    for n in range(2, MAX_TSU_N):
-        bad = []
-        for i in range(n + 1):
-            for j in range(n - i + 1):
-                if tsu_ball_value(n, i, j) != tsu_ball_value_oracle(n, i, j):
-                    bad.append(f"(i={i}, j={j})")
-        checks.append(_sweep(f"t,s,u ball values closed form vs expansion (n={n})", bad))
+    checks.extend(_ball_values_check(n) for n in range(2, MAX_TSU_N))
     bad = []
     for n in range(2, MAX_RECURRENCE_N + 1):
         try:

@@ -141,10 +141,6 @@ class TestEvalPoly:
     def test_f3_vanishes(self):
         assert eval_poly(fu_poly(3), unit(2)).is_zero()
 
-    def test_with_v_on_unit_equals_vbar_route(self):
-        poly = STPoly.monomial(1, 0) + STPoly.monomial(0, 1, Fraction(2, 7))
-        assert eval_poly(poly, unit(3), with_v=True) == eval_poly(poly, vbar(3))
-
     def test_general_base_element(self):
         base = basis_element(2, N(1, 0))
         got = eval_poly(STPoly.monomial(1, 0, Fraction(2, 3)), base)
@@ -253,7 +249,7 @@ def _per_degree_canonical_form(x):
 
 
 def _clear_product_caches():
-    for cached in (dualalgebra._basis_canonical, dualalgebra._dn_product, basis_product):
+    for cached in (dualalgebra._basis_canonical, dualalgebra._dn_product):
         cached.cache_clear()
 
 
@@ -289,6 +285,22 @@ class TestMemoizedCanonicalForms:
         monkeypatch.setattr(dualalgebra, "_gauss_solve", counting)
         full_table(n, basis)
         assert len(solves) == census(n).total
+
+    def test_only_delta_n_products_are_cached(self, monkeypatch):
+        _clear_product_caches()
+        real = dualalgebra._dn_product
+        keys = set()
+
+        def recording(n, left, right):
+            keys.add((n, left, right))
+            return real(n, left, right)
+
+        monkeypatch.setattr(dualalgebra, "_dn_product", recording)
+        full_table(4, BASIS_B_GAMMA)
+        # Every key of the one product cache went in through a recorded call.
+        assert real.cache_info().currsize == len(keys) > 0
+        assert {idx.family for _, left, right in keys for idx in (left, right)} == {Family.DELTA, Family.N}
+        assert not hasattr(basis_product, "cache_info")
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_bg_products_match_dual_element_route(self, n):
@@ -465,7 +477,7 @@ class TestRelations:
         t2v = eval_poly(STPoly.monomial(2, 0), vbar(2))
         sv = eval_poly(STPoly.monomial(0, 1), vbar(2))
         assert t2v == sv == element(2, {D(3, 1): PiScalar(2, -1)})
-        assert eval_poly(p_poly(2), unit(2), with_v=True).is_zero()
+        assert eval_poly(p_poly(2), vbar(2)).is_zero()
 
 
 class TestGradedDimension:

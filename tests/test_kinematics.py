@@ -1,10 +1,12 @@
 """Kinematic tables: coefficient extraction, globalization, rendering."""
 
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from ukin import kinematics
 from ukin.areabasis import AreaIndex, Family, primal_bg_from_dn, primal_dn_from_bg, valid_indices
 from ukin.exactnum import PiScalar
 from ukin.kinematics import (
@@ -16,7 +18,6 @@ from ukin.kinematics import (
     full_table,
     global_formula,
     local_formula,
-    product_table,
     semilocal_formula,
 )
 
@@ -153,14 +154,26 @@ class TestBasisModes:
                                 assembled.pop(pair, None)
             assert assembled == _table_as_plain(dn_table), (n, target)
 
-    def test_product_table_precondition(self):
-        with pytest.raises(ValueError):
-            product_table(2, 3, 1)
 
-    def test_product_table_symmetric(self):
-        tables = product_table(2, 1, 1)
-        for (left, right), value in tables.items():
-            assert tables[(right, left)] == value
+class TestOnePass:
+    SLOT_FAMILIES = {BASIS_DELTA_N: (Family.DELTA, Family.N), BASIS_B_GAMMA: (Family.B, Family.GAMMA)}
+
+    @pytest.mark.parametrize("basis", [BASIS_DELTA_N, BASIS_B_GAMMA])
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_full_table_reads_each_slot_pair_once(self, n, basis, monkeypatch):
+        reads = Counter()
+        real = kinematics.basis_product
+
+        def counting(m, left, right):
+            reads[(left, right)] += 1
+            return real(m, left, right)
+
+        monkeypatch.setattr(kinematics, "basis_product", counting)
+        full_table(n, basis)
+        slots = [idx for family in self.SLOT_FAMILIES[basis] for idx in valid_indices(n, family)]
+        assert set(reads) == {(left, right) for left in slots for right in slots
+                              if left.k + right.k <= 2 * n - 1}
+        assert set(reads.values()) == {1}
 
 
 class TestGlobalAndSemilocal:

@@ -63,7 +63,7 @@ def test_delta_route_fails_on_changed_coefficient(monkeypatch):
 # any test patches a name.
 RULE_CACHES = tuple(getattr(dualalgebra, name) for name in (
     "_tbar_rule", "_sbar_rule", "_rational_image", "_generator_image", "_degree_system",
-    "_basis_canonical", "_dn_product", "basis_product"))
+    "_basis_canonical", "_dn_product"))
 
 
 def _clear_rule_caches():
