@@ -5,7 +5,8 @@ Documents go to stdout or to --out, where a regular file is replaced
 atomically, a symlink is followed and a FIFO or device is written in place;
 verification reports go to stderr.  Exit codes: 0 success, 1 verification
 failure, 2 usage error, 3 I/O error (e.g. --out names a missing directory or
-a directory, or the reader of stdout closed it early).
+a directory, the reader of stdout closed it early, or stdout or stderr is
+full or was closed at startup).
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ import errno
 import json
 import os
 import sys
-from typing import Sequence
+from contextlib import contextmanager
+from typing import Iterator, Sequence, TextIO
 
 from .areabasis import Family, InvalidIndexError, census, parse_index, require_valid
 from .dualalgebra import CheckResult, monomial_rank
@@ -82,9 +84,41 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _color_enabled() -> bool:
-    if os.environ.get("UKIN_COLOR") == "0":
+    if os.environ.get("UKIN_COLOR") == "0" or sys.stderr is None:
         return False
     return sys.stderr.isatty()
+
+
+@contextmanager
+def _standard_stream(name: str) -> Iterator[TextIO]:
+    """sys.stdout or sys.stderr; one closed at startup (None) is an OSError.
+
+    A failed write leaves its bytes in the stream's buffer, and the
+    interpreter's flush at exit would fail on them again and exit 120, so
+    after the first OSError the stream counts as closed.
+    """
+    stream = getattr(sys, name)
+    if stream is None:
+        raise OSError(errno.EBADF, f"{name} is closed")
+    try:
+        yield stream
+    except OSError:
+        setattr(sys, name, None)
+        raise
+
+
+def _print_stderr(line: str) -> None:
+    # Never print(file=None), which writes to stdout.
+    with _standard_stream("stderr") as stderr:
+        print(line, file=stderr)
+
+
+def _print_error(message: str) -> None:
+    # When stderr cannot take the line either, the exit code alone reports.
+    try:
+        _print_stderr(f"ukin: error: {message}")
+    except OSError:
+        pass
 
 
 def _report(checks: list[CheckResult]) -> int:
@@ -99,9 +133,8 @@ def _report(checks: list[CheckResult]) -> int:
         line = f"{check.name}: {status}"
         if check.detail and not check.passed:
             line += f"  [{check.detail}]"
-        print(line, file=sys.stderr)
-    summary = f"{len(checks) - failures}/{len(checks)} checks passed"
-    print(summary, file=sys.stderr)
+        _print_stderr(line)
+    _print_stderr(f"{len(checks) - failures}/{len(checks)} checks passed")
     return VERIFY_FAILURE if failures else 0
 
 
@@ -125,7 +158,8 @@ def _write_stdout(document: str) -> None:
 
 def _write_document(document: str, out_path: str | None) -> None:
     if not out_path:
-        _write_stdout(document)
+        with _standard_stream("stdout"):
+            _write_stdout(document)
         return
     # A symlink is followed, so the link survives and its target gets the document.
     path = os.path.realpath(out_path)
@@ -149,7 +183,7 @@ def _write_document(document: str, out_path: str | None) -> None:
 
 
 def _usage_error(message: str) -> int:
-    print(f"ukin: error: {message}", file=sys.stderr)
+    _print_error(message)
     return USAGE_ERROR
 
 
@@ -203,7 +237,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             document, ok = _census_document(args.n, args.fmt)
             _write_document(document, args.out)
             if not ok:
-                print("census: rank/census mismatch", file=sys.stderr)
+                _print_stderr("census: rank/census mismatch")
                 return VERIFY_FAILURE
             return 0
 
@@ -234,8 +268,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         return _usage_error(str(exc))
     except OSError as exc:
-        target = getattr(args, "out", None) or "stdout"
-        print(f"ukin: error: cannot write {target}: {exc.strerror or exc}", file=sys.stderr)
+        # verify and identities write their report, and nothing else, to stderr.
+        target = "stderr" if args.verb in ("verify", "identities") else getattr(args, "out", None) or "stdout"
+        _print_error(f"cannot write {target}: {exc.strerror or exc}")
         return IO_ERROR
 
 

@@ -17,12 +17,16 @@ product is reduced to those through the canonical form
 
 pi never enters the degree systems.  In the rescaled basis
 X'_{k,q} = pi^(-floor(k/2)) X*_{k,q} the raising rules have rational
-coefficients; they are stated once, per (n, family, k, q), and mul_tbar,
-mul_sbar and the generator images are PiScalar views that attach
-pi^(floor(k/2) - floor(k'/2)) to a rule from degree k to k'.  Each degree r
-has one integer matrix, the X' images of its generator monomials over one
-common denominator, and one fraction-free elimination (Bareiss) serves both
-the rank that census checks and the canonical solves.
+coefficients; they are stated once, per (n, family, k, q), and read by one
+cached function, _rational_image, which gives tbar^a sbar^b X'_source for a
+source index of any family.  Every generator step goes through it: eval_poly
+(and mul_tbar, mul_sbar, which are eval_poly of t and s) attaches
+pi^(floor(k/2) - floor(r/2)) to an image coefficient from X'_k to X'_r, and
+the canonical forms and the degree systems read its two generator columns,
+the unit (source Delta_{0,0}) and vbar (_edge_ratio(n) times source B_{1,0}).
+Each degree r has one integer matrix, the X' images of its generator
+monomials over one common denominator, and one fraction-free elimination
+(Bareiss) serves both the rank that census checks and the canonical solves.
 
 The canonical form is solved once per Delta*/N* basis element, on the
 integer matrix of its degree, and cached: the form of X*_{k,q} is the
@@ -111,10 +115,7 @@ class AreaDualElement:
         return sorted({idx.k for idx in self._coords})
 
     def homogeneous_part(self, degree: int) -> "AreaDualElement":
-        out = AreaDualElement.__new__(AreaDualElement)
-        out.n = self.n
-        out._coords = {idx: c for idx, c in self._coords.items() if idx.k == degree}
-        return out
+        return _wrap(self.n, {idx: c for idx, c in self._coords.items() if idx.k == degree})
 
     def is_zero(self) -> bool:
         return not self._coords
@@ -134,16 +135,10 @@ class AreaDualElement:
             return NotImplemented
         if self.n != other.n:
             raise ValueError(f"mixed ambient dimensions: {self.n} vs {other.n}")
-        out = AreaDualElement.__new__(AreaDualElement)
-        out.n = self.n
-        out._coords = add_terms(dict(self._coords), other._coords.items())
-        return out
+        return _wrap(self.n, add_terms(dict(self._coords), other._coords.items()))
 
     def __neg__(self) -> "AreaDualElement":
-        out = AreaDualElement.__new__(AreaDualElement)
-        out.n = self.n
-        out._coords = {idx: -c for idx, c in self._coords.items()}
-        return out
+        return _wrap(self.n, {idx: -c for idx, c in self._coords.items()})
 
     def __sub__(self, other: "AreaDualElement") -> "AreaDualElement":
         if not isinstance(other, AreaDualElement):
@@ -152,10 +147,7 @@ class AreaDualElement:
 
     def __mul__(self, scalar: ScalarLike) -> "AreaDualElement":
         coeff = as_piscalar(scalar)
-        out = AreaDualElement.__new__(AreaDualElement)
-        out.n = self.n
-        out._coords = {idx: c * coeff for idx, c in self._coords.items()} if coeff else {}
-        return out
+        return _wrap(self.n, {idx: c * coeff for idx, c in self._coords.items()} if coeff else {})
 
     __rmul__ = __mul__
 
@@ -169,6 +161,14 @@ class AreaDualElement:
 
     def __repr__(self) -> str:
         return f"AreaDualElement(n={self.n}, {self.text()!r})"
+
+
+def _wrap(n: int, coords: dict[AreaIndex, PiScalar]) -> AreaDualElement:
+    # An element over coordinates that are already valid, PiScalar and nonzero.
+    out = AreaDualElement.__new__(AreaDualElement)
+    out.n = n
+    out._coords = coords
+    return out
 
 
 _DN_FAMILIES = (Family.DELTA, Family.N)
@@ -309,81 +309,59 @@ def _sbar_rule(n: int, family: Family, k: int, q: int) -> Rule:
                      (Family.DELTA, k + 2, q + 1, -low * Fraction(k - 2 * q, 2 * n - k))))
 
 
-def _apply_rule(x: AreaDualElement, rule) -> AreaDualElement:
-    # A rule coefficient c from X'_{k,q} to X'_{k',q'} acts on X* coordinates
-    # as c * pi^(floor(k/2) - floor(k'/2)).
-    n = x.n
+# ---------------------------------------------------------------------------
+# Polynomial evaluation and canonical forms
+# ---------------------------------------------------------------------------
+
+# The sources of the canonical-form columns (s_exp, on_v): the unit is
+# X'_{Delta 0,0}, and vbar is _edge_ratio(n) X'_{B 1,0} (X' = X* in degree 1).
+_GENERATOR_SOURCES = (AreaIndex(Family.DELTA, 0, 0), AreaIndex(Family.B, 1, 0))
+
+
+@lru_cache(maxsize=None)
+def _rational_image(n: int, t_exp: int, s_exp: int, source: AreaIndex) -> dict[AreaIndex, Fraction]:
+    # tbar^a sbar^b X'_source in X' coordinates, for a source index of any
+    # family; the only reader of the raising rules.  Read only, never mutated.
+    if t_exp == 0 and s_exp == 0:
+        return _dn_terms(n, source)
+    if s_exp > 0:
+        image, rule = _rational_image(n, t_exp, s_exp - 1, source), _sbar_rule
+    else:
+        image, rule = _rational_image(n, t_exp - 1, s_exp, source), _tbar_rule
+    out: dict[AreaIndex, Fraction] = {}
+    for idx, coeff in image.items():
+        add_terms(out, ((target, coeff * c) for target, c in rule(n, idx.family, idx.k, idx.q)))
+    return out
+
+
+def _apply(n: int, terms: Iterable[tuple[tuple[int, int], AreaIndex, PiScalar]]) -> AreaDualElement:
+    # The sum of coeff * tbar^a sbar^b X*_source over ((a, b), source, coeff).
+    # An image coefficient c from X'_k to X'_r acts on X* coordinates as
+    # c * pi^(floor(k/2) - floor(r/2)).
     acc: dict[AreaIndex, PiScalar] = {}
-    for idx, coeff in x._coords.items():
-        add_terms(acc, ((target, coeff * PiScalar(c, idx.k // 2 - target.k // 2))
-                        for target, c in rule(n, idx.family, idx.k, idx.q)))
-    return AreaDualElement(n, acc)
+    for (a, b), source, coeff in terms:
+        shift = source.k // 2
+        add_terms(acc, ((idx, coeff * PiScalar(c, shift - idx.k // 2))
+                        for idx, c in _rational_image(n, a, b, source).items()))
+    return _wrap(n, acc)
+
+
+def eval_poly(p: STPoly, x: AreaDualElement) -> AreaDualElement:
+    """Apply the operator polynomial p(sbar, tbar) to x."""
+    return _apply(x.n, ((mono, idx, coeff * x_coeff)
+                        for mono, coeff in p.terms() for idx, x_coeff in x._coords.items()))
 
 
 def mul_tbar(x: AreaDualElement) -> AreaDualElement:
     """Multiply by tbar: the rules of _tbar_rule on X* coordinates, where the
     step w_k regains its pi-power, omega_{2n-k}/(pi omega_{2n-k-1})."""
-    return _apply_rule(x, _tbar_rule)
+    return eval_poly(STPoly.var_t(), x)
 
 
 def mul_sbar(x: AreaDualElement) -> AreaDualElement:
     """Multiply by sbar: the rules of _sbar_rule on X* coordinates, where every
     coefficient regains the 1/pi of sbar = n/pi Delta*_{2,1}."""
-    return _apply_rule(x, _sbar_rule)
-
-
-# ---------------------------------------------------------------------------
-# Polynomial evaluation and canonical forms
-# ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def _rational_image(n: int, t_exp: int, s_exp: int, on_v: bool) -> dict[AreaIndex, Fraction]:
-    # tbar^a sbar^b applied to the unit (or to vbar when on_v), in X'
-    # coordinates; X' = X* in degrees 0 and 1.  Read only, never mutated.
-    if t_exp == 0 and s_exp == 0:
-        if on_v:
-            return {idx: _edge_ratio(n) * c for idx, c in dual_bg_to_dn(n, AreaIndex(Family.B, 1, 0)).items()}
-        return {AreaIndex(Family.DELTA, 0, 0): Fraction(1)}
-    if s_exp > 0:
-        source, rule = _rational_image(n, t_exp, s_exp - 1, on_v), _sbar_rule
-    else:
-        source, rule = _rational_image(n, t_exp - 1, s_exp, on_v), _tbar_rule
-    image: dict[AreaIndex, Fraction] = {}
-    for idx, coeff in source.items():
-        add_terms(image, ((target, coeff * c) for target, c in rule(n, idx.family, idx.k, idx.q)))
-    return image
-
-
-@lru_cache(maxsize=None)
-def _generator_image(n: int, t_exp: int, s_exp: int, on_v: bool) -> AreaDualElement:
-    # The PiScalar view of _rational_image: a degree-r coefficient c on X'_r
-    # is c * pi^(-floor(r/2)) on X*_r.
-    return AreaDualElement(n, {idx: PiScalar(c, -(idx.k // 2))
-                               for idx, c in _rational_image(n, t_exp, s_exp, on_v).items()})
-
-
-def eval_poly(p: STPoly, x: AreaDualElement) -> AreaDualElement:
-    """Apply the operator polynomial p(sbar, tbar) to x."""
-    n = x.n
-    if x == unit(n) or x == vbar(n):
-        on_v = x == vbar(n)
-        total = zero(n)
-        for (a, b), coeff in p.terms():
-            total = total + coeff * _generator_image(n, a, b, on_v)
-        return total
-    memo: dict[tuple[int, int], AreaDualElement] = {(0, 0): x}
-
-    def image(a: int, b: int) -> AreaDualElement:
-        cached = memo.get((a, b))
-        if cached is None:
-            cached = mul_sbar(image(a, b - 1)) if b > 0 else mul_tbar(image(a - 1, b))
-            memo[(a, b)] = cached
-        return cached
-
-    total = zero(n)
-    for (a, b), coeff in p.terms():
-        total = total + coeff * image(a, b)
-    return total
+    return eval_poly(STPoly.var_s(), x)
 
 
 @dataclass(frozen=True)
@@ -400,7 +378,10 @@ class CanonicalForm:
     psi: STPoly
 
     def evaluate(self) -> AreaDualElement:
-        return eval_poly(self.phi, unit(self.n)) + eval_poly(self.psi, vbar(self.n))
+        unit_source, vbar_source = _GENERATOR_SOURCES
+        ratio = _edge_ratio(self.n)
+        return _apply(self.n, [*((mono, unit_source, coeff) for mono, coeff in self.phi.terms()),
+                               *((mono, vbar_source, coeff * ratio) for mono, coeff in self.psi.terms())])
 
 
 @lru_cache(maxsize=None)
@@ -426,7 +407,9 @@ def _degree_system(n: int, degree: int):
     """
     rows = tuple(indices_of_degree(n, degree))
     cols = _degree_columns(n, degree)
-    images = [_rational_image(n, degree - on_v - 2 * b, b, on_v) for b, on_v in cols]
+    ratio = _edge_ratio(n)
+    images = [{idx: ratio * c if on_v else c for idx, c in _rational_image(
+        n, degree - on_v - 2 * b, b, _GENERATOR_SOURCES[on_v]).items()} for b, on_v in cols]
     denominator = lcm(*(c.denominator for image in images for c in image.values()))
     scaled = [{idx: c.numerator * (denominator // c.denominator) for idx, c in image.items()} for image in images]
     matrix = tuple(tuple(column.get(idx, 0) for column in scaled) for idx in rows)
@@ -525,10 +508,7 @@ def canonicalize(x: AreaDualElement) -> CanonicalForm:
 
 def _form_product(cx: CanonicalForm, cy: CanonicalForm) -> AreaDualElement:
     # vbar^2 = 0 drops the psi_x psi_y term.
-    n = cx.n
-    plain = cx.phi * cy.phi
-    with_v = cx.phi * cy.psi + cy.phi * cx.psi
-    return eval_poly(plain, unit(n)) + eval_poly(with_v, vbar(n))
+    return CanonicalForm(cx.n, cx.phi * cy.phi, cx.phi * cy.psi + cy.phi * cx.psi).evaluate()
 
 
 def product(x: AreaDualElement, y: AreaDualElement) -> AreaDualElement:

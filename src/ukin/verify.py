@@ -225,6 +225,13 @@ def algebra_suite(n: int) -> list[CheckResult]:
                 bad.append(f"{left.text()} * {right.text()}")
     checks.append(_sweep("two-route Delta* products agree", bad))
 
+    # No Gauss solve either: the closed form of Delta* applied to N* directly.
+    bad = [f"{left.text()} * {right.text()}"
+           for left, poly in closed_forms.items() for right in n_indices
+           if left.k + right.k <= top
+           and eval_poly(poly, basis_element(n, right)) != basis_product(n, left, right)]
+    checks.append(_sweep("two-route Delta* N* products agree", bad))
+
     checks.append(_associativity_check(n))
     checks.append(_pi_grading_check(n))
 

@@ -182,6 +182,46 @@ class TestStdoutErrors:
         assert stderr.count("\n") == 1
 
 
+class TestStderrErrors:
+    """A stderr that cannot take the report or the error line is exit 3, not the
+    exit 1 of a failed verification, buffered or not."""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    @pytest.mark.parametrize("args, stdout_full", [
+        (("verify", "--n", "2", "--suite", "relations"), False),
+        (("identities",), False),
+        (("table", "--n", "2"), True),
+    ])
+    def test_full_stderr(self, args, stdout_full, unbuffered):
+        env = dict(cli_env(), PYTHONUNBUFFERED="1") if unbuffered else cli_env()
+        with open("/dev/full", "wb") as full:
+            result = subprocess.run([sys.executable, "-m", "ukin", *args],
+                                    stdout=full if stdout_full else subprocess.PIPE, stderr=full,
+                                    env=env, timeout=120)
+        assert result.returncode == 3
+        assert not result.stdout
+
+    @pytest.mark.skipif(os.name != "posix", reason="closes file descriptor 2 in the child")
+    def test_closed_at_startup(self):
+        # Python starts with sys.stderr None; the report must not fall through
+        # to stdout, where print(file=None) writes.
+        result = subprocess.run([sys.executable, "-m", "ukin", "verify", "--n", "2", "--suite", "relations"],
+                                stdout=subprocess.PIPE, preexec_fn=lambda: os.close(2),
+                                env=cli_env(), timeout=120)
+        assert result.returncode == 3
+        assert result.stdout == b""
+
+
+@pytest.mark.skipif(os.name != "posix", reason="closes file descriptor 1 in the child")
+def test_stdout_closed_at_startup():
+    result = subprocess.run([sys.executable, "-m", "ukin", "table", "--n", "2"],
+                            stderr=subprocess.PIPE, preexec_fn=lambda: os.close(1),
+                            env=cli_env(), timeout=120)
+    assert result.returncode == 3
+    assert result.stderr == b"ukin: error: cannot write stdout: stdout is closed\n"
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("fmt", ["text", "latex", "json"])
     def test_repeated_runs_identical(self, fmt):

@@ -149,6 +149,23 @@ class TestEvalPoly:
             D(2, 0): PiScalar(Fraction(-4, 9), -1),
         })
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_equals_reference_chain(self, n):
+        # Mixed-degree elements and polynomials, with two-term pi coefficients.
+        rng = random.Random(100 + n)
+
+        def two_term():
+            low = PiScalar(Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9)), rng.randint(-2, 1))
+            return low + PiScalar(rng.randint(1, 5), rng.randint(2, 3))
+
+        indices = dual_basis_indices(n)
+        for _ in range(8):
+            x = element(n, {idx: two_term() for idx in rng.sample(indices, 4)})
+            p = STPoly({(rng.randint(0, 3), rng.randint(0, 2)): two_term() for _ in range(3)})
+            assert len(x.degrees()) > 1 and len(p.degrees()) > 1
+            expected = sum((coeff * _reference_chain(x, a, b) for (a, b), coeff in p.terms()), AreaDualElement(n))
+            assert eval_poly(p, x) == expected, (p, x)
+
 
 class TestCanonicalForm:
     def test_unit(self):
@@ -189,10 +206,29 @@ class TestCanonicalForm:
         assert canonicalize(x).evaluate() == x
 
 
+def _apply_rule(x, rule):
+    """Reference one-step application of a raising rule in PiScalar: a rule
+    coefficient c from X'_k to X'_r acts on X* as c * pi^(floor(k/2) - floor(r/2))."""
+    terms = []
+    for idx, coeff in x.items():
+        terms.extend((target, coeff * PiScalar(c, idx.k // 2 - target.k // 2))
+                     for target, c in rule(x.n, idx.family, idx.k, idx.q))
+    return AreaDualElement(x.n, terms)
+
+
+def _reference_chain(x, t_exp, s_exp):
+    """tbar^t_exp sbar^s_exp x, one rule step at a time."""
+    for _ in range(t_exp):
+        x = _apply_rule(x, dualalgebra._tbar_rule)
+    for _ in range(s_exp):
+        x = _apply_rule(x, dualalgebra._sbar_rule)
+    return x
+
+
 def _piscalar_degree_system(n, degree):
-    """Rows, column keys and the PiScalar image matrix read from _generator_image."""
+    """Rows, column keys and the PiScalar image matrix of the reference chain."""
     rows, cols, _, _ = dualalgebra._degree_system(n, degree)
-    images = [dualalgebra._generator_image(n, degree - on_v - 2 * b, b, on_v) for b, on_v in cols]
+    images = [_reference_chain(vbar(n) if on_v else unit(n), degree - on_v - 2 * b, b) for b, on_v in cols]
     return rows, cols, [[image.coefficient(idx) for image in images] for idx in rows]
 
 
@@ -319,8 +355,9 @@ class TestIntegerDegreeSystems:
     @pytest.mark.parametrize("n", range(2, 9))
     def test_image_matrix_is_generator_images_rescaled(self, n):
         # Column (b, on_v) of degree r is tbar^a sbar^b applied to the unit or
-        # to vbar; mul_tbar and mul_sbar give it in X* coordinates, and the
-        # integer matrix over its denominator is that times pi^floor(r/2).
+        # to vbar; mul_tbar and mul_sbar give it in X* coordinates, as does the
+        # reference chain of one-step rules, and the integer matrix over its
+        # denominator is that times pi^floor(r/2).
         for degree in range(2 * n):
             rows, cols, matrix, denominator = dualalgebra._degree_system(n, degree)
             _, _, reference = _piscalar_degree_system(n, degree)

@@ -11,6 +11,7 @@ from ukin.exactnum import PI
 ASSOCIATIVITY = "associativity (ab)c = a(bc) on basis triples"
 PI_GRADING = "pi-grading of basis-pair products"
 DELTA_ROUTE = "two-route Delta* products agree"
+DELTA_N_ROUTE = "two-route Delta* N* products agree"
 
 
 def _algebra_checks(n):
@@ -34,7 +35,7 @@ def _patch_one_coefficient(monkeypatch, n, left, right, change):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_new_checks_pass(n):
     checks = _algebra_checks(n)
-    for name in (ASSOCIATIVITY, PI_GRADING, DELTA_ROUTE):
+    for name in (ASSOCIATIVITY, PI_GRADING, DELTA_ROUTE, DELTA_N_ROUTE):
         assert checks[name].passed, checks[name].detail
 
 
@@ -59,11 +60,18 @@ def test_delta_route_fails_on_changed_coefficient(monkeypatch):
     assert not check.passed and check.detail == "Delta:1,0 * Delta:2,1"
 
 
+def test_delta_n_route_fails_on_changed_coefficient(monkeypatch):
+    _patch_one_coefficient(monkeypatch, 3, AreaIndex(Family.DELTA, 2, 0), AreaIndex(Family.N, 1, 0),
+                           lambda c: 2 * c)
+    check = _algebra_checks(3)[DELTA_N_ROUTE]
+    assert not check.passed and check.detail == "Delta:2,0 * N:1,0"
+
+
 # Every cache that holds a value derived from the raising rules, taken before
 # any test patches a name.
 RULE_CACHES = tuple(getattr(dualalgebra, name) for name in (
-    "_tbar_rule", "_sbar_rule", "_rational_image", "_generator_image", "_degree_system",
-    "_basis_canonical", "_dn_product"))
+    "_tbar_rule", "_sbar_rule", "_rational_image", "_degree_system", "_basis_canonical",
+    "_dn_product"))
 
 
 def _clear_rule_caches():
