@@ -9,10 +9,9 @@ dimension n (always n >= 2):
     B:                      max(0, k-n)   <= q <  k/2
     Gamma:                  max(0, k-n+1) <= q <= floor(k/2)
 
-The degree of an index is k.  This module also carries the exact 2x2
-change-of-basis maps between the two bases and their duals; whenever a
-conversion formula emits an index outside its validity range, that term
-denotes zero and is dropped.
+The degree of an index is k.  This module also carries the exact change of
+basis between the two bases and between their duals: one cached block of at
+most 2x2 per (k, q), whose rows and columns give all four maps.
 """
 
 from __future__ import annotations
@@ -20,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 
 
 class InvalidIndexError(ValueError):
@@ -163,104 +163,74 @@ def census(n: int) -> Census:
 
 
 # ---------------------------------------------------------------------------
-# Basis conversions.  All coordinates are exact rationals; terms landing on
-# invalid indices denote zero and are omitted from the result.
+# Basis conversions.  All coordinates are exact rationals.
 # ---------------------------------------------------------------------------
 
 Coordinates = dict[AreaIndex, Fraction]
 
 
-def dual_bg_to_dn(n: int, index: AreaIndex) -> Coordinates:
-    """Dual B*/Gamma* basis element in Delta*/N* coordinates.
+@lru_cache(maxsize=None)
+def _block(n: int, k: int, q: int) -> tuple[dict[AreaIndex, Coordinates], dict[AreaIndex, Coordinates]]:
+    """The (k, q) block of the change of basis and its exact inverse.
 
-    B*_{k,q}     = (k-2q)/(2n-k) Delta*_{k,q} - 2(n-k+q)/(2n-k) N*_{k,q}
-    Gamma*_{k,q} = 2(n-k+q)/(2n-k) (Delta*_{k,q} + N*_{k,q}),  2q < k
-    Gamma*_{k,k/2} = Delta*_{k,k/2}
+    The first map sends each primal B/Gamma measure to its Delta/N
+    coordinates, the second each Delta/N measure to its B/Gamma coordinates:
 
-    At the range edge q = k-n the N index does not exist and its structural
-    coefficient vanishes, leaving the identification B*_{k,k-n} = Delta*_{k,k-n}.
+        B_{k,q}     = Delta_{k,q} - N_{k,q}
+        Gamma_{k,q} = Delta_{k,q} + (k-2q)/(2(n-k+q)) N_{k,q}
+        Delta_{k,q} = (k-2q)/(2n-k) B_{k,q} + 2(n-k+q)/(2n-k) Gamma_{k,q}
+        N_{k,q}     = 2(n-k+q)/(2n-k) (Gamma_{k,q} - B_{k,q})
+
+    At q = k-n only B and Delta exist, and at 2q = k only Gamma and Delta,
+    so there the block is the 1x1 identity B_{k,k-n} = Delta_{k,k-n},
+    resp. Gamma_{k,k/2} = Delta_{k,k/2}.  The dual bases pair diagonally
+    with the primal ones, so the dual maps are the transposes: a B*/Gamma*
+    element in Delta*/N* coordinates is a column of the inverse, and a
+    Delta*/N* element in B*/Gamma* coordinates is a column of the first map.
+    Read only, never mutated.
     """
+    delta, normal = AreaIndex(Family.DELTA, k, q), AreaIndex(Family.N, k, q)
+    b, gamma = AreaIndex(Family.B, k, q), AreaIndex(Family.GAMMA, k, q)
+    if q == k - n or 2 * q == k:
+        edge = b if q == k - n else gamma
+        return {edge: {delta: Fraction(1)}}, {delta: {edge: Fraction(1)}}
+    ratio = Fraction(k - 2 * q, 2 * (n - k + q))
+    inverse_det = 1 / (1 + ratio)  # = 2(n-k+q)/(2n-k)
+    primal = {b: {delta: Fraction(1), normal: Fraction(-1)}, gamma: {delta: Fraction(1), normal: ratio}}
+    inverse = {delta: {b: ratio * inverse_det, gamma: inverse_det},
+               normal: {gamma: inverse_det, b: -inverse_det}}
+    return primal, inverse
+
+
+def _read(n: int, index: AreaIndex, families: tuple[Family, Family], *, of_inverse: bool,
+          column: bool) -> Coordinates:
+    # One row, or for the dual maps one column, of _block or of its inverse.
     require_valid(n, index)
-    k, q = index.k, index.q
-    delta = AreaIndex(Family.DELTA, k, q)
-    if index.family is Family.B:
-        if q == k - n:
-            return {delta: Fraction(1)}
-        return {
-            delta: Fraction(k - 2 * q, 2 * n - k),
-            AreaIndex(Family.N, k, q): Fraction(-2 * (n - k + q), 2 * n - k),
-        }
-    if index.family is Family.GAMMA:
-        if 2 * q == k:
-            return {delta: Fraction(1)}
-        coeff = Fraction(2 * (n - k + q), 2 * n - k)
-        return {delta: coeff, AreaIndex(Family.N, k, q): coeff}
-    raise InvalidIndexError(f"expected a B or Gamma index, got {index.text()}")
-
-
-def dual_dn_to_bg(n: int, index: AreaIndex) -> Coordinates:
-    """Dual Delta*/N* basis element in B*/Gamma* coordinates (inverse 2x2 solve).
-
-    In a generic (k, q) block:  Delta* = B* + Gamma*  and
-    N* = -B* + (k-2q)/(2(n-k+q)) Gamma*.  Degenerate blocks reduce to the
-    identifications Delta*_{k,k/2} = Gamma*_{k,k/2} and Delta*_{k,k-n} = B*_{k,k-n}.
-    """
-    require_valid(n, index)
-    k, q = index.k, index.q
-    b = AreaIndex(Family.B, k, q)
-    gamma = AreaIndex(Family.GAMMA, k, q)
-    if index.family is Family.DELTA:
-        if 2 * q == k:
-            return {gamma: Fraction(1)}
-        if q == k - n:
-            return {b: Fraction(1)}
-        return {b: Fraction(1), gamma: Fraction(1)}
-    if index.family is Family.N:
-        return {b: Fraction(-1), gamma: Fraction(k - 2 * q, 2 * (n - k + q))}
-    raise InvalidIndexError(f"expected a Delta or N index, got {index.text()}")
-
-
-def primal_bg_from_dn(n: int, index: AreaIndex) -> Coordinates:
-    """Primal Delta/N basis measure in B/Gamma coordinates.
-
-    Delta_{k,q} = (k-2q)/(2n-k) B_{k,q} + 2(n-k+q)/(2n-k) Gamma_{k,q}
-    N_{k,q}     = 2(n-k+q)/(2n-k) (Gamma_{k,q} - B_{k,q})
-    """
-    require_valid(n, index)
-    k, q = index.k, index.q
-    b = AreaIndex(Family.B, k, q)
-    gamma = AreaIndex(Family.GAMMA, k, q)
-    if index.family is Family.DELTA:
-        if 2 * q == k:
-            return {gamma: Fraction(1)}
-        if q == k - n:
-            return {b: Fraction(1)}
-        return {
-            b: Fraction(k - 2 * q, 2 * n - k),
-            gamma: Fraction(2 * (n - k + q), 2 * n - k),
-        }
-    if index.family is Family.N:
-        coeff = Fraction(2 * (n - k + q), 2 * n - k)
-        return {gamma: coeff, b: -coeff}
-    raise InvalidIndexError(f"expected a Delta or N index, got {index.text()}")
+    if index.family not in families:
+        raise InvalidIndexError(
+            f"expected a {families[0].value} or {families[1].value} index, got {index.text()}")
+    primal, inverse = _block(n, index.k, index.q)
+    rows = inverse if of_inverse else primal
+    if column:
+        return {row: coeffs[index] for row, coeffs in rows.items()}
+    return dict(rows[index])
 
 
 def primal_dn_from_bg(n: int, index: AreaIndex) -> Coordinates:
-    """Primal B/Gamma basis measure in Delta/N coordinates.
+    """Primal B/Gamma basis measure in Delta/N coordinates: a row of `_block`."""
+    return _read(n, index, (Family.B, Family.GAMMA), of_inverse=False, column=False)
 
-    Inverting the block above gives B_{k,q} = Delta_{k,q} - N_{k,q} and
-    Gamma_{k,q} = Delta_{k,q} + (k-2q)/(2(n-k+q)) N_{k,q}.
-    """
-    require_valid(n, index)
-    k, q = index.k, index.q
-    delta = AreaIndex(Family.DELTA, k, q)
-    n_idx = AreaIndex(Family.N, k, q)
-    if index.family is Family.B:
-        if q == k - n:
-            return {delta: Fraction(1)}
-        return {delta: Fraction(1), n_idx: Fraction(-1)}
-    if index.family is Family.GAMMA:
-        if 2 * q == k:
-            return {delta: Fraction(1)}
-        return {delta: Fraction(1), n_idx: Fraction(k - 2 * q, 2 * (n - k + q))}
-    raise InvalidIndexError(f"expected a B or Gamma index, got {index.text()}")
+
+def primal_bg_from_dn(n: int, index: AreaIndex) -> Coordinates:
+    """Primal Delta/N basis measure in B/Gamma coordinates: a row of the inverse block."""
+    return _read(n, index, (Family.DELTA, Family.N), of_inverse=True, column=False)
+
+
+def dual_bg_to_dn(n: int, index: AreaIndex) -> Coordinates:
+    """Dual B*/Gamma* basis element in Delta*/N* coordinates: a column of the inverse block."""
+    return _read(n, index, (Family.B, Family.GAMMA), of_inverse=True, column=True)
+
+
+def dual_dn_to_bg(n: int, index: AreaIndex) -> Coordinates:
+    """Dual Delta*/N* basis element in B*/Gamma* coordinates: a column of `_block`."""
+    return _read(n, index, (Family.DELTA, Family.N), of_inverse=False, column=True)

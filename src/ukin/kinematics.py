@@ -14,7 +14,6 @@ mu_{k,q}.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -164,6 +163,8 @@ def _index_json(index: AreaIndex, as_mu: bool) -> dict:
 def emit(table: KinematicTable, fmt: str = "text") -> str:
     """Render one table as 'text', 'latex', or 'json'."""
     if fmt == "json":
+        import json
+
         return json.dumps(table_json(table), indent=2) + "\n"
     if fmt == "latex":
         return _emit_latex(table)
@@ -217,6 +218,8 @@ def table_json(table: KinematicTable) -> dict:
 def emit_tables(n: int, basis: str, tables: list[KinematicTable], fmt: str = "text") -> str:
     """Render a list of tables as one document."""
     if fmt == "json":
+        import json
+
         doc = {"n": n, "basis": basis, "tables": [table_json(t) for t in tables]}
         return json.dumps(doc, indent=2) + "\n"
     if fmt in ("text", "latex"):

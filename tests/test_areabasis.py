@@ -152,6 +152,38 @@ class TestDualConversions:
                     assert acc == {source: Fraction(1)}, (n, source)
 
 
+class TestBlock:
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_docstring_block(self, n):
+        # B = Delta - N, Gamma = Delta + (k-2q)/(2(n-k+q)) N in a generic block;
+        # B_{k,k-n} = Delta_{k,k-n} and Gamma_{k,k/2} = Delta_{k,k/2} at the edges.
+        for source in valid_indices(n, Family.B) + valid_indices(n, Family.GAMMA):
+            k, q = source.k, source.q
+            if q == k - n or 2 * q == k:
+                expected = {idx("Delta", k, q): Fraction(1)}
+            elif source.family is Family.B:
+                expected = {idx("Delta", k, q): Fraction(1), idx("N", k, q): Fraction(-1)}
+            else:
+                expected = {idx("Delta", k, q): Fraction(1),
+                            idx("N", k, q): Fraction(k - 2 * q, 2 * (n - k + q))}
+            assert primal_dn_from_bg(n, source) == expected, source
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_dual_maps_are_transposes(self, n):
+        bg = valid_indices(n, Family.B) + valid_indices(n, Family.GAMMA)
+        dn = valid_indices(n, Family.DELTA) + valid_indices(n, Family.N)
+        for x in bg:
+            for y in dn:
+                assert dual_bg_to_dn(n, x).get(y, 0) == primal_bg_from_dn(n, y).get(x, 0), (x, y)
+                assert dual_dn_to_bg(n, y).get(x, 0) == primal_dn_from_bg(n, x).get(y, 0), (x, y)
+
+    def test_family_checks(self):
+        for convert, wrong in ((primal_dn_from_bg, "Delta"), (dual_bg_to_dn, "N"),
+                               (primal_bg_from_dn, "B"), (dual_dn_to_bg, "Gamma")):
+            with pytest.raises(InvalidIndexError, match="expected a"):
+                convert(2, idx(wrong, 1, 0))
+
+
 class TestPrimalConversions:
     def test_delta10_n2(self):
         assert primal_bg_from_dn(2, idx("Delta", 1, 0)) == {

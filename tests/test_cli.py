@@ -43,6 +43,25 @@ def test_harness_imports_package_under_test():
     assert Path(result.stdout.strip()).resolve() == Path(ukin.__file__).resolve()
 
 
+class TestLazyImports:
+    def test_parser_suites_are_verify_suites(self):
+        from ukin import cli, verify
+
+        assert cli._SUITES == verify.SUITES
+
+    def test_formula_does_not_import_verify(self):
+        result = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "ukin", "formula", "--n", "3",
+             "--target", "Delta:2,1", "--format", "text"],
+            capture_output=True, text=True, env=cli_env(),
+        )
+        assert result.returncode == 0, result.stderr
+        imported = {line.rsplit("|", 1)[-1].strip() for line in result.stderr.splitlines()
+                    if line.startswith("import time:")}
+        assert "ukin.cli" in imported
+        assert "ukin.verify" not in imported
+
+
 class TestExitCodes:
     def test_success(self):
         result = run_cli("table", "--n", "2")

@@ -176,6 +176,17 @@ class TestOnePass:
         assert set(reads.values()) == {1}
 
 
+class TestSingleTarget:
+    @pytest.mark.parametrize("basis", [BASIS_DELTA_N, BASIS_B_GAMMA])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_local_formula_equals_full_table(self, n, basis):
+        targets = [idx for family in TestOnePass.SLOT_FAMILIES[basis] for idx in valid_indices(n, family)]
+        tables = {table.target: table for table in full_table(n, basis)}
+        assert set(tables) == set(targets)
+        for target in targets:
+            assert local_formula(n, target, basis) == tables[target], target
+
+
 class TestGlobalAndSemilocal:
     def test_global_n2_degree1(self):
         table = global_formula(2, 1, 0)
