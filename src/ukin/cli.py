@@ -16,10 +16,10 @@ import errno
 import os
 import sys
 from contextlib import contextmanager
-from typing import Iterator, Sequence, TextIO
+from typing import TYPE_CHECKING, Iterator, Sequence, TextIO
 
 from .areabasis import Family, InvalidIndexError, census, parse_index, require_valid
-from .dualalgebra import CheckResult, monomial_rank
+from .dualalgebra import monomial_rank
 from .kinematics import (
     BASIS_B_GAMMA,
     BASIS_DELTA_N,
@@ -30,6 +30,9 @@ from .kinematics import (
     local_formula,
     semilocal_formula,
 )
+
+if TYPE_CHECKING:
+    from .verify import CheckResult
 
 # verify.SUITES, copied so that only the verify verbs import verify.
 _SUITES = ("relations", "identities", "algebra", "all")

@@ -19,11 +19,12 @@ pi never enters the degree systems.  In the rescaled basis
 X'_{k,q} = pi^(-floor(k/2)) X*_{k,q} the raising rules have rational
 coefficients; they are stated once, per (n, family, k, q), and read by one
 cached function, _rational_image, which gives tbar^a sbar^b X'_source for a
-source index of any family.  Every generator step goes through it: eval_poly
-(and mul_tbar, mul_sbar, which are eval_poly of t and s) attaches
+Delta/N source.  Every generator step goes through it: eval_poly (and
+mul_tbar, mul_sbar, which are eval_poly of t and s) attaches
 pi^(floor(k/2) - floor(r/2)) to an image coefficient from X'_k to X'_r, and
 the canonical forms and the degree systems read its two generator columns,
-the unit (source Delta_{0,0}) and vbar (_edge_ratio(n) times source B_{1,0}).
+the unit (source Delta_{0,0}) and vbar (source B_{1,0}, whose chains start
+from _edge_ratio(n) B*_{1,0} and so are cached already scaled).
 Each degree r has one integer matrix, the X' images of its generator
 monomials over one common denominator, and one fraction-free elimination
 (Bareiss) serves both the rank that census checks and the canonical solves.
@@ -39,6 +40,10 @@ combines the cached delta-n products on every call.  Emitted indices outside
 their validity range denote zero and are silently dropped; in particular
 products of total degree above 2n-1 vanish.
 
+This module holds the presentation and what the tables need of it, and no
+checks: the closed form of Delta*, the N* N* reduction, the relations and the
+module recurrence that test it live in ukin.verify.
+
 Elements are immutable and all public operations are pure given n; the
 memoized image matrices and structure constants recompute idempotently, so
 concurrent use needs no coordination.
@@ -49,7 +54,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm
+from math import lcm
 from typing import Iterable, Mapping
 
 from .areabasis import (
@@ -60,7 +65,6 @@ from .areabasis import (
     indices_of_degree,
     is_valid,
     require_valid,
-    valid_indices,
 )
 from .exactnum import (
     ZERO,
@@ -71,7 +75,7 @@ from .exactnum import (
     join_signed,
     split_sign,
 )
-from .stpoly import STPoly, fu_poly, p_poly, q_poly, tsu_ball_value, mustar_pairing
+from .stpoly import STPoly
 
 ScalarLike = PiScalar | int | Fraction
 
@@ -82,10 +86,6 @@ class InconsistentSystemError(RuntimeError):
     Every dual element is expressible as phi + psi*vbar, so this always
     indicates a bug rather than a legitimate input.
     """
-
-
-class AlgebraConsistencyError(RuntimeError):
-    """An internal cross-check against a closed form failed."""
 
 
 class AreaDualElement:
@@ -314,15 +314,21 @@ def _sbar_rule(n: int, family: Family, k: int, q: int) -> Rule:
 # ---------------------------------------------------------------------------
 
 # The sources of the canonical-form columns (s_exp, on_v): the unit is
-# X'_{Delta 0,0}, and vbar is _edge_ratio(n) X'_{B 1,0} (X' = X* in degree 1).
-_GENERATOR_SOURCES = (AreaIndex(Family.DELTA, 0, 0), AreaIndex(Family.B, 1, 0))
+# X'_{Delta 0,0}, and the source B_{1,0} stands for vbar, which is
+# _edge_ratio(n) X'_{B 1,0} (X' = X* in degree 1).
+_UNIT_SOURCE = AreaIndex(Family.DELTA, 0, 0)
+_VBAR_SOURCE = AreaIndex(Family.B, 1, 0)
 
 
 @lru_cache(maxsize=None)
 def _rational_image(n: int, t_exp: int, s_exp: int, source: AreaIndex) -> dict[AreaIndex, Fraction]:
-    # tbar^a sbar^b X'_source in X' coordinates, for a source index of any
-    # family; the only reader of the raising rules.  Read only, never mutated.
+    # tbar^a sbar^b X'_source in X' coordinates, for a Delta/N source or the
+    # vbar source, whose chains are cached already scaled by _edge_ratio(n);
+    # the only reader of the raising rules.  Read only, never mutated.
     if t_exp == 0 and s_exp == 0:
+        if source == _VBAR_SOURCE:
+            ratio = _edge_ratio(n)
+            return {idx: ratio * c for idx, c in dual_bg_to_dn(n, source).items()}
         return _dn_terms(n, source)
     if s_exp > 0:
         image, rule = _rational_image(n, t_exp, s_exp - 1, source), _sbar_rule
@@ -378,10 +384,8 @@ class CanonicalForm:
     psi: STPoly
 
     def evaluate(self) -> AreaDualElement:
-        unit_source, vbar_source = _GENERATOR_SOURCES
-        ratio = _edge_ratio(self.n)
-        return _apply(self.n, [*((mono, unit_source, coeff) for mono, coeff in self.phi.terms()),
-                               *((mono, vbar_source, coeff * ratio) for mono, coeff in self.psi.terms())])
+        return _apply(self.n, [*((mono, _UNIT_SOURCE, coeff) for mono, coeff in self.phi.terms()),
+                               *((mono, _VBAR_SOURCE, coeff) for mono, coeff in self.psi.terms())])
 
 
 @lru_cache(maxsize=None)
@@ -407,9 +411,8 @@ def _degree_system(n: int, degree: int):
     """
     rows = tuple(indices_of_degree(n, degree))
     cols = _degree_columns(n, degree)
-    ratio = _edge_ratio(n)
-    images = [{idx: ratio * c if on_v else c for idx, c in _rational_image(
-        n, degree - on_v - 2 * b, b, _GENERATOR_SOURCES[on_v]).items()} for b, on_v in cols]
+    images = [_rational_image(n, degree - on_v - 2 * b, b, _VBAR_SOURCE if on_v else _UNIT_SOURCE)
+              for b, on_v in cols]
     denominator = lcm(*(c.denominator for image in images for c in image.values()))
     scaled = [{idx: c.numerator * (denominator // c.denominator) for idx, c in image.items()} for image in images]
     matrix = tuple(tuple(column.get(idx, 0) for column in scaled) for idx in rows)
@@ -542,166 +545,3 @@ def basis_product(n: int, left: AreaIndex, right: AreaIndex) -> AreaDualElement:
         for right_dn, right_coeff in _dn_terms(n, right).items():
             total = total + (left_coeff * right_coeff) * _dn_product(n, left_dn, right_dn)
     return total
-
-
-def product_nn(n: int, left: AreaIndex, right: AreaIndex) -> AreaDualElement:
-    """Product of two N* basis elements via the reduction
-
-    N*_{k,q} N*_{k',q'} = (k-2q)(k'-2q')/(4(n-k+q)(n-k'+q')) *
-        ( 2(n-k'+q')/(k'-2q') Delta*_{k,q} N*_{k',q'}
-        + 2(n-k+q)/(k-2q)   Delta*_{k',q'} N*_{k,q}
-        - Delta*_{k,q} Delta*_{k',q'} )
-
-    The three constituent products run through the closed-form polynomial for
-    Delta* applied directly to basis elements, making this an independent
-    route for cross-checking `product`.
-    """
-    for idx in (left, right):
-        if idx.family is not Family.N:
-            raise InvalidIndexError(f"product_nn expects N indices, got {idx.text()}")
-        require_valid(n, idx)
-    k, q = left.k, left.q
-    kp, qp = right.k, right.q
-    poly_left = delta_star_closed_form(n, k, q)
-    poly_right = delta_star_closed_form(n, kp, qp)
-    dn_right = eval_poly(poly_left, basis_element(n, right))
-    dn_left = eval_poly(poly_right, basis_element(n, left))
-    dd = eval_poly(poly_left * poly_right, unit(n))
-    inner = (Fraction(2 * (n - kp + qp), kp - 2 * qp) * dn_right
-             + Fraction(2 * (n - k + q), k - 2 * q) * dn_left
-             - dd)
-    return Fraction((k - 2 * q) * (kp - 2 * qp), 4 * (n - k + q) * (n - kp + qp)) * inner
-
-
-def _delta_star_coefficients(n: int, k: int, q: int) -> tuple[PiScalar, dict[int, Fraction]]:
-    # The prefactor, and the coefficient of t^(k-2i) s^i by i, of the closed form
-    # below; verify_delta_pairing checks these same numbers.
-    require_valid(n, AreaIndex(Family.DELTA, k, q))
-    prefactor = (ball_volume(2 * n - k)
-                 * PiScalar(Fraction(factorial(k - 2 * q) * factorial(n - k + q),
-                                     2 ** (k - 2 * q) * factorial(n)), k - n))
-    coeffs = {i: Fraction((-1) ** (i + q) * factorial(n - i), factorial(i - q) * factorial(k - 2 * i))
-              for i in range(q, k // 2 + 1)}
-    return prefactor, coeffs
-
-
-def delta_star_closed_form(n: int, k: int, q: int) -> STPoly:
-    """Polynomial phi with phi(sbar, tbar) = Delta*_{k,q}:
-
-    omega_{2n-k} (k-2q)! (n-k+q)! / (pi^(n-k) 2^(k-2q) n!) *
-        sum_{i=q}^{floor(k/2)} (-1)^(i+q)/(i-q)! * (n-i)!/(k-2i)! * t^(k-2i) s^i
-    """
-    prefactor, coeffs = _delta_star_coefficients(n, k, q)
-    return STPoly({(k - 2 * i, i): prefactor * c for i, c in coeffs.items()})
-
-
-# ---------------------------------------------------------------------------
-# Verification of the presentation data
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
-
-
-def _zero_check(name: str, element: AreaDualElement) -> CheckResult:
-    if element.is_zero():
-        return CheckResult(name, True)
-    return CheckResult(name, False, f"nonzero remainder: {element.text()}")
-
-
-def verify_relations(n: int) -> list[CheckResult]:
-    """Exact verification of every presentation relation at dimension n.
-
-    Checks f_{n+1} = f_{n+2} = 0, p_n - q_{n-1} vbar = 0, p_n vbar = 0, the
-    vanishing of all B* pair products, and that p_n(sbar, tbar) equals
-    (-1)^n 2^n / omega_n times Delta*_{n,0}.
-    """
-    checks = [
-        _zero_check(f"f_{n + 1}(sbar, tbar) = 0", eval_poly(fu_poly(n + 1), unit(n))),
-        _zero_check(f"f_{n + 2}(sbar, tbar) = 0", eval_poly(fu_poly(n + 2), unit(n))),
-        _zero_check(
-            f"p_{n} - q_{n - 1}*v = 0",
-            eval_poly(p_poly(n), unit(n)) - eval_poly(q_poly(n - 1), vbar(n)),
-        ),
-        _zero_check(f"p_{n}*v = 0", eval_poly(p_poly(n), vbar(n))),
-    ]
-
-    b_indices = valid_indices(n, Family.B)
-    offenders = []
-    for i, left in enumerate(b_indices):
-        for right in b_indices[i:]:
-            result = basis_product(n, left, right)
-            if not result.is_zero():
-                offenders.append(f"{left.text()} * {right.text()} = {result.text()}")
-    checks.append(CheckResult(
-        "B* * B* = 0 (all pairs)", not offenders, "; ".join(offenders)))
-
-    sign = -1 if n % 2 else 1
-    expected = (PiScalar(sign * 2 ** n).div_by_monomial(ball_volume(n))
-                * basis_element(n, AreaIndex(Family.DELTA, n, 0)))
-    actual = eval_poly(p_poly(n), unit(n))
-    checks.append(CheckResult(
-        f"p_{n}(sbar, tbar) = (-1)^{n} 2^{n}/omega_{n} * Delta*_{{{n},0}}",
-        actual == expected,
-        "" if actual == expected else f"got {actual.text()}",
-    ))
-    return checks
-
-
-def module_recurrence(n: int) -> tuple[list[PiScalar], list[PiScalar]]:
-    """Iterate the 2x2 coefficient recurrence for repeated degree lowering.
-
-    Starting from (c_0, d_0) = (1, 0),
-
-        (c_{i+1}, d_{i+1}) = 2(i+1) omega_{n+i+1} / ((n-i) pi omega_{n+i})
-                             * [[n-i-1, 0], [1, n-i]] (c_i, d_i),
-
-    and the results must match the closed forms: (c_{n-1}, d_{n-1})
-    proportional to (1, n-1) with c_{n-1} = 2^(n-1)/n *
-    omega_{2n-1}/(omega_{2n-2} omega_n), and (c_n, d_n) = (0, 2^n/omega_n).
-    Also checks the underlying integer matrix identity with value (n-1)!(1, n-1).
-    """
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    cs = [PiScalar(1)]
-    ds = [PiScalar(0)]
-    for i in range(n):
-        step = (2 * (i + 1) * ball_volume(n + i + 1)).div_by_monomial(
-            PiScalar(n - i, 1) * ball_volume(n + i))
-        cs.append(step * ((n - i - 1) * cs[i]))
-        ds.append(step * (cs[i] + (n - i) * ds[i]))
-
-    c_closed = (PiScalar(Fraction(2 ** (n - 1), n)) * ball_volume(2 * n - 1)).div_by_monomial(
-        ball_volume(2 * n - 2) * ball_volume(n))
-    if cs[n - 1] != c_closed or ds[n - 1] != (n - 1) * c_closed:
-        raise AlgebraConsistencyError(
-            f"step {n - 1} of the module recurrence disagrees with its closed form at n={n}")
-    d_final = PiScalar(2 ** n).div_by_monomial(ball_volume(n))
-    if cs[n] != PiScalar(0) or ds[n] != d_final:
-        raise AlgebraConsistencyError(
-            f"step {n} of the module recurrence disagrees with its closed form at n={n}")
-
-    vec = (1, 0)
-    for i in range(n - 1, 0, -1):
-        vec = (i * vec[0], vec[0] + (i + 1) * vec[1])
-    if vec != (factorial(n - 1), factorial(n - 1) * (n - 1)):
-        raise AlgebraConsistencyError(f"integer matrix identity fails at n={n}")
-    return cs, ds
-
-
-def verify_delta_pairing(n: int, k: int, q: int) -> bool:
-    """Two-route check of the closed form behind delta_star_closed_form.
-
-    For every j with 0 <= 2j <= 2n-k, the direct pairing value
-    omega_{2n-k} (2n-k-2j)! (2j)! C(n-k+q, j) / pi^(2n-k) must equal the
-    expansion through unit-ball values of t^(2n-2i-2j) s^i u^j monomials.
-    """
-    prefactor, coeffs = _delta_star_coefficients(n, k, q)
-    for j in range(0, (2 * n - k) // 2 + 1):
-        total = sum(c * tsu_ball_value(n, i, j) for i, c in coeffs.items())
-        if mustar_pairing(n, k, q, j) != prefactor * PiScalar(total * factorial(n), -n):
-            return False
-    return True

@@ -11,24 +11,22 @@ The three families carried here are the Taylor coefficients of
     1 / (1 + t x + s x^2)     -> p_k,
     -1 / (1 + t x + s x^2)^2  -> q_k,
 
-together with the exact combinatorial identities used to validate the dual
-basis closed form (unit-ball evaluations of t,s,u monomials with u = 4s - t^2,
-and a binomial identity checked through its telescoping certificate).
+the polynomials in the relations of the dual algebra.  The identities that check
+them and the dual-basis closed form (the f/p/q relation, unit-ball values of
+t,s,u monomials, a binomial identity and its telescoping certificate) live
+in ukin.verify.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
 from typing import Iterable, Mapping, Union
 
 from .exactnum import (
     ZERO,
     PiScalar,
-    Rational,
     add_terms,
     as_piscalar,
-    ball_volume,
     binomial,
     join_signed,
     split_sign,
@@ -246,91 +244,3 @@ def fu_poly(k: int) -> STPoly:
     if k >= 2:
         acc = acc + 2 * (s * p_poly(k - 2))
     return acc * Fraction(1, k)
-
-
-def check_fpq_relation(k: int) -> bool:
-    """Exact check of -(4s - t^2) q_{k-1} + t p_k == (k+1)^2 f_{k+1}."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    t, s = STPoly.var_t(), STPoly.var_s()
-    u = 4 * s - t * t
-    lhs = -(u * q_poly(k - 1)) + t * p_poly(k)
-    rhs = (k + 1) ** 2 * fu_poly(k + 1)
-    return lhs == rhs
-
-
-# ---------------------------------------------------------------------------
-# Unit-ball evaluations and combinatorial identities
-# ---------------------------------------------------------------------------
-
-def tsu_ball_value(n: int, i: int, j: int) -> Rational:
-    """Value of the monomial t^(2n-2i-2j) s^i u^j on the unit ball of C^n.
-
-    Here u = 4s - t^2.  Closed form C(2j,j) C(2n-2i-2j, n-i-j) / C(n-i, j);
-    agrees with expanding u^j and evaluating t^(2n-2m) s^m at C(2n-2m, n-m).
-    """
-    if n < 1 or i < 0 or j < 0:
-        raise ValueError("need n >= 1 and i, j >= 0")
-    if i + j > n:
-        raise ValueError(f"i + j must not exceed n (got i={i}, j={j}, n={n})")
-    return Fraction(binomial(2 * j, j) * binomial(2 * n - 2 * i - 2 * j, n - i - j), binomial(n - i, j))
-
-
-def tsu_ball_value_oracle(n: int, i: int, j: int) -> Rational:
-    """Same value via binomial expansion of u^j; independent of the closed form."""
-    if i + j > n:
-        raise ValueError("i + j must not exceed n")
-    total = Fraction(0)
-    for l in range(j + 1):
-        m = i + l
-        sign = -1 if (j - l) % 2 else 1
-        total += sign * binomial(j, l) * 4 ** l * binomial(2 * n - 2 * m, n - m)
-    return total
-
-
-def mustar_pairing(n: int, k: int, q: int, j: int) -> PiScalar:
-    """Pairing of the (k,q) dual basis functional with t^(2n-k-2j) u^j.
-
-    Equals omega_{2n-k} (2n-k-2j)! (2j)! C(n-k+q, j) / pi^(2n-k).
-    """
-    if not (0 <= k <= 2 * n - 1 and max(0, k - n) <= q <= k // 2):
-        raise ValueError(f"invalid index (k={k}, q={q}) for n={n}")
-    if not (0 <= 2 * j <= 2 * n - k):
-        raise ValueError(f"j out of range: need 0 <= 2j <= {2 * n - k}, got j={j}")
-    value = Fraction(factorial(2 * n - k - 2 * j) * factorial(2 * j) * binomial(n - k + q, j))
-    return ball_volume(2 * n - k) * PiScalar(value, -(2 * n - k))
-
-
-def _combinat_term(r: int, m: int, i: int) -> int:
-    return (-1 if i % 2 else 1) * binomial(2 * m + 2 * r - 2 * i, r - 2 * i) * binomial(m + r, i)
-
-
-def combinat_identity(r: int, m: int) -> bool:
-    """Exact check of 2^r C(m+r, r) == sum_i (-1)^i C(2m+2r-2i, r-2i) C(m+r, i).
-
-    Stated for integers r >= 0 and m with 2m + r >= 0.
-    """
-    if r < 0 or 2 * m + r < 0:
-        raise ValueError("need r >= 0 and 2m + r >= 0")
-    rhs = sum(_combinat_term(r, m, i) for i in range(r // 2 + 1))
-    return 2 ** r * binomial(m + r, r) == rhs
-
-
-def wz_certificate_check(r: int, m: int, i: int) -> bool:
-    """Termwise telescoping certificate behind combinat_identity.
-
-    With F(m,i) the summand and
-    G(m,i) = F(m,i) * 2i (2m+2r-2i+1)(m+r+1) / ((2m+r+1)(2m+r+2)),
-    verifies -(m+r+1) F(m,i) + (m+1) F(m+1,i) == G(m,i+1) - G(m,i).
-    """
-    if r < 0 or 2 * m + r < 0 or i < 0:
-        raise ValueError("indices outside the certificate domain")
-
-    def g(mm: int, ii: int) -> Fraction:
-        return Fraction(
-            _combinat_term(r, mm, ii) * 2 * ii * (2 * mm + 2 * r - 2 * ii + 1) * (mm + r + 1),
-            (2 * mm + r + 1) * (2 * mm + r + 2),
-        )
-
-    lhs = Fraction(-(m + r + 1) * _combinat_term(r, m, i) + (m + 1) * _combinat_term(r, m + 1, i))
-    return lhs == g(m, i + 1) - g(m, i)

@@ -1,46 +1,308 @@
-"""Self-verification suites: relations, identity sweeps, and algebra laws.
+"""Self-verification: the check code and the suites that run it.
 
-Each suite returns a list of CheckResult records suitable for CLI reporting
-and CI gating.  All checks are exact; a failure carries the offending values.
-The series oracles below (geometric, log, and Cauchy-square expansions) are
-deliberately independent of the closed forms they validate.
+The closed form of Delta* and the two-route products, the relations, the
+module recurrence, the identity sweeps and the algebra laws all live here.
+No engine module imports this one, and the command line imports it only for
+the verify and identities verbs.  Each suite returns a list of CheckResult
+records for CLI reporting and CI gating.  All checks are exact; a failure
+carries the offending values.  The series oracles below (geometric, log, and
+Cauchy-square expansions) are deliberately independent of the closed forms
+they validate.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 
-from .areabasis import Family, census, dual_basis_indices, valid_indices
+from .areabasis import (
+    AreaIndex,
+    Family,
+    InvalidIndexError,
+    census,
+    dual_basis_indices,
+    require_valid,
+    valid_indices,
+)
 from .dualalgebra import (
-    CheckResult,
+    AreaDualElement,
     basis_element,
     basis_product,
-    delta_star_closed_form,
     eval_poly,
-    module_recurrence,
     monomial_rank,
     mul_sbar,
     mul_tbar,
     product,
-    product_nn,
     unit,
-    verify_delta_pairing,
-    verify_relations,
-    zero,
+    vbar,
 )
-from .exactnum import add_terms
+from .exactnum import PiScalar, Rational, add_terms, ball_volume, binomial
 from .kinematics import BASIS_B_GAMMA, BASIS_DELTA_N, full_table
-from .stpoly import (
-    STPoly,
-    check_fpq_relation,
-    combinat_identity,
-    fu_poly,
-    p_poly,
-    q_poly,
-    tsu_ball_value,
-    tsu_ball_value_oracle,
-    wz_certificate_check,
-)
+from .stpoly import STPoly, fu_poly, p_poly, q_poly
+
+
+class AlgebraConsistencyError(RuntimeError):
+    """An internal cross-check against a closed form failed."""
+
+
+@dataclass(frozen=True)
+class CheckResult:
+    name: str
+    passed: bool
+    detail: str = ""
+
+
+def _sweep(name: str, failures: list[str]) -> CheckResult:
+    return CheckResult(name, not failures, "; ".join(failures[:8]))
+
+
+def _zero_check(name: str, element: AreaDualElement) -> CheckResult:
+    if element.is_zero():
+        return CheckResult(name, True)
+    return CheckResult(name, False, f"nonzero remainder: {element.text()}")
+
+
+# ---------------------------------------------------------------------------
+# Identities of the s,t polynomial families and unit-ball values
+# ---------------------------------------------------------------------------
+
+def check_fpq_relation(k: int) -> bool:
+    """Exact check of -(4s - t^2) q_{k-1} + t p_k == (k+1)^2 f_{k+1}."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    t, s = STPoly.var_t(), STPoly.var_s()
+    u = 4 * s - t * t
+    lhs = -(u * q_poly(k - 1)) + t * p_poly(k)
+    rhs = (k + 1) ** 2 * fu_poly(k + 1)
+    return lhs == rhs
+
+
+
+
+
+def tsu_ball_value(n: int, i: int, j: int) -> Rational:
+    """Value of the monomial t^(2n-2i-2j) s^i u^j on the unit ball of C^n.
+
+    Here u = 4s - t^2.  Closed form C(2j,j) C(2n-2i-2j, n-i-j) / C(n-i, j);
+    agrees with expanding u^j and evaluating t^(2n-2m) s^m at C(2n-2m, n-m).
+    """
+    if n < 1 or i < 0 or j < 0:
+        raise ValueError("need n >= 1 and i, j >= 0")
+    if i + j > n:
+        raise ValueError(f"i + j must not exceed n (got i={i}, j={j}, n={n})")
+    return Fraction(binomial(2 * j, j) * binomial(2 * n - 2 * i - 2 * j, n - i - j), binomial(n - i, j))
+
+
+def tsu_ball_value_oracle(n: int, i: int, j: int) -> Rational:
+    """Same value via binomial expansion of u^j; independent of the closed form."""
+    if i + j > n:
+        raise ValueError("i + j must not exceed n")
+    total = Fraction(0)
+    for l in range(j + 1):
+        m = i + l
+        sign = -1 if (j - l) % 2 else 1
+        total += sign * binomial(j, l) * 4 ** l * binomial(2 * n - 2 * m, n - m)
+    return total
+
+
+def mustar_pairing(n: int, k: int, q: int, j: int) -> PiScalar:
+    """Pairing of the (k,q) dual basis functional with t^(2n-k-2j) u^j.
+
+    Equals omega_{2n-k} (2n-k-2j)! (2j)! C(n-k+q, j) / pi^(2n-k).
+    """
+    if not (0 <= k <= 2 * n - 1 and max(0, k - n) <= q <= k // 2):
+        raise ValueError(f"invalid index (k={k}, q={q}) for n={n}")
+    if not (0 <= 2 * j <= 2 * n - k):
+        raise ValueError(f"j out of range: need 0 <= 2j <= {2 * n - k}, got j={j}")
+    value = Fraction(factorial(2 * n - k - 2 * j) * factorial(2 * j) * binomial(n - k + q, j))
+    return ball_volume(2 * n - k) * PiScalar(value, -(2 * n - k))
+
+
+def _combinat_term(r: int, m: int, i: int) -> int:
+    return (-1 if i % 2 else 1) * binomial(2 * m + 2 * r - 2 * i, r - 2 * i) * binomial(m + r, i)
+
+
+def combinat_identity(r: int, m: int) -> bool:
+    """Exact check of 2^r C(m+r, r) == sum_i (-1)^i C(2m+2r-2i, r-2i) C(m+r, i).
+
+    Stated for integers r >= 0 and m with 2m + r >= 0.
+    """
+    if r < 0 or 2 * m + r < 0:
+        raise ValueError("need r >= 0 and 2m + r >= 0")
+    rhs = sum(_combinat_term(r, m, i) for i in range(r // 2 + 1))
+    return 2 ** r * binomial(m + r, r) == rhs
+
+
+def wz_certificate_check(r: int, m: int, i: int) -> bool:
+    """Termwise telescoping certificate behind combinat_identity.
+
+    With F(m,i) the summand and
+    G(m,i) = F(m,i) * 2i (2m+2r-2i+1)(m+r+1) / ((2m+r+1)(2m+r+2)),
+    verifies -(m+r+1) F(m,i) + (m+1) F(m+1,i) == G(m,i+1) - G(m,i).
+    """
+    if r < 0 or 2 * m + r < 0 or i < 0:
+        raise ValueError("indices outside the certificate domain")
+
+    def g(mm: int, ii: int) -> Fraction:
+        return Fraction(
+            _combinat_term(r, mm, ii) * 2 * ii * (2 * mm + 2 * r - 2 * ii + 1) * (mm + r + 1),
+            (2 * mm + r + 1) * (2 * mm + r + 2),
+        )
+
+    lhs = Fraction(-(m + r + 1) * _combinat_term(r, m, i) + (m + 1) * _combinat_term(r, m + 1, i))
+    return lhs == g(m, i + 1) - g(m, i)
+
+
+# ---------------------------------------------------------------------------
+# Closed forms in the dual algebra and the presentation relations
+# ---------------------------------------------------------------------------
+
+def product_nn(n: int, left: AreaIndex, right: AreaIndex) -> AreaDualElement:
+    """Product of two N* basis elements via the reduction
+
+    N*_{k,q} N*_{k',q'} = (k-2q)(k'-2q')/(4(n-k+q)(n-k'+q')) *
+        ( 2(n-k'+q')/(k'-2q') Delta*_{k,q} N*_{k',q'}
+        + 2(n-k+q)/(k-2q)   Delta*_{k',q'} N*_{k,q}
+        - Delta*_{k,q} Delta*_{k',q'} )
+
+    The three constituent products run through the closed-form polynomial for
+    Delta* applied directly to basis elements, making this an independent
+    route for cross-checking `product`.
+    """
+    for idx in (left, right):
+        if idx.family is not Family.N:
+            raise InvalidIndexError(f"product_nn expects N indices, got {idx.text()}")
+        require_valid(n, idx)
+    k, q = left.k, left.q
+    kp, qp = right.k, right.q
+    poly_left = delta_star_closed_form(n, k, q)
+    poly_right = delta_star_closed_form(n, kp, qp)
+    dn_right = eval_poly(poly_left, basis_element(n, right))
+    dn_left = eval_poly(poly_right, basis_element(n, left))
+    dd = eval_poly(poly_left * poly_right, unit(n))
+    inner = (Fraction(2 * (n - kp + qp), kp - 2 * qp) * dn_right
+             + Fraction(2 * (n - k + q), k - 2 * q) * dn_left
+             - dd)
+    return Fraction((k - 2 * q) * (kp - 2 * qp), 4 * (n - k + q) * (n - kp + qp)) * inner
+
+
+def _delta_star_coefficients(n: int, k: int, q: int) -> tuple[PiScalar, dict[int, Fraction]]:
+    # The prefactor, and the coefficient of t^(k-2i) s^i by i, of the closed form
+    # below; verify_delta_pairing checks these same numbers.
+    require_valid(n, AreaIndex(Family.DELTA, k, q))
+    prefactor = (ball_volume(2 * n - k)
+                 * PiScalar(Fraction(factorial(k - 2 * q) * factorial(n - k + q),
+                                     2 ** (k - 2 * q) * factorial(n)), k - n))
+    coeffs = {i: Fraction((-1) ** (i + q) * factorial(n - i), factorial(i - q) * factorial(k - 2 * i))
+              for i in range(q, k // 2 + 1)}
+    return prefactor, coeffs
+
+
+def delta_star_closed_form(n: int, k: int, q: int) -> STPoly:
+    """Polynomial phi with phi(sbar, tbar) = Delta*_{k,q}:
+
+    omega_{2n-k} (k-2q)! (n-k+q)! / (pi^(n-k) 2^(k-2q) n!) *
+        sum_{i=q}^{floor(k/2)} (-1)^(i+q)/(i-q)! * (n-i)!/(k-2i)! * t^(k-2i) s^i
+    """
+    prefactor, coeffs = _delta_star_coefficients(n, k, q)
+    return STPoly({(k - 2 * i, i): prefactor * c for i, c in coeffs.items()})
+
+
+
+
+
+def verify_relations(n: int) -> list[CheckResult]:
+    """Exact verification of every presentation relation at dimension n.
+
+    Checks f_{n+1} = f_{n+2} = 0, p_n - q_{n-1} vbar = 0, p_n vbar = 0, the
+    vanishing of all B* pair products, and that p_n(sbar, tbar) equals
+    (-1)^n 2^n / omega_n times Delta*_{n,0}.
+    """
+    p_unit = eval_poly(p_poly(n), unit(n))
+    checks = [
+        _zero_check(f"f_{n + 1}(sbar, tbar) = 0", eval_poly(fu_poly(n + 1), unit(n))),
+        _zero_check(f"f_{n + 2}(sbar, tbar) = 0", eval_poly(fu_poly(n + 2), unit(n))),
+        _zero_check(f"p_{n} - q_{n - 1}*v = 0", p_unit - eval_poly(q_poly(n - 1), vbar(n))),
+        _zero_check(f"p_{n}*v = 0", eval_poly(p_poly(n), vbar(n))),
+    ]
+
+    b_indices = valid_indices(n, Family.B)
+    offenders = []
+    for i, left in enumerate(b_indices):
+        for right in b_indices[i:]:
+            result = basis_product(n, left, right)
+            if not result.is_zero():
+                offenders.append(f"{left.text()} * {right.text()} = {result.text()}")
+    checks.append(CheckResult("B* * B* = 0 (all pairs)", not offenders, "; ".join(offenders)))
+
+    sign = -1 if n % 2 else 1
+    expected = (PiScalar(sign * 2 ** n).div_by_monomial(ball_volume(n))
+                * basis_element(n, AreaIndex(Family.DELTA, n, 0)))
+    checks.append(CheckResult(f"p_{n}(sbar, tbar) = (-1)^{n} 2^{n}/omega_{n} * Delta*_{{{n},0}}",
+                              p_unit == expected, "" if p_unit == expected else f"got {p_unit.text()}"))
+    return checks
+
+
+def module_recurrence(n: int) -> tuple[list[PiScalar], list[PiScalar]]:
+    """Iterate the 2x2 coefficient recurrence for repeated degree lowering.
+
+    Starting from (c_0, d_0) = (1, 0),
+
+        (c_{i+1}, d_{i+1}) = 2(i+1) omega_{n+i+1} / ((n-i) pi omega_{n+i})
+                             * [[n-i-1, 0], [1, n-i]] (c_i, d_i),
+
+    and the results must match the closed forms: (c_{n-1}, d_{n-1})
+    proportional to (1, n-1) with c_{n-1} = 2^(n-1)/n *
+    omega_{2n-1}/(omega_{2n-2} omega_n), and (c_n, d_n) = (0, 2^n/omega_n).
+    Also checks the underlying integer matrix identity with value (n-1)!(1, n-1).
+    """
+    if n < 2:
+        raise ValueError("n must be >= 2")
+    cs = [PiScalar(1)]
+    ds = [PiScalar(0)]
+    for i in range(n):
+        step = (2 * (i + 1) * ball_volume(n + i + 1)).div_by_monomial(
+            PiScalar(n - i, 1) * ball_volume(n + i))
+        cs.append(step * ((n - i - 1) * cs[i]))
+        ds.append(step * (cs[i] + (n - i) * ds[i]))
+
+    c_closed = (PiScalar(Fraction(2 ** (n - 1), n)) * ball_volume(2 * n - 1)).div_by_monomial(
+        ball_volume(2 * n - 2) * ball_volume(n))
+    if cs[n - 1] != c_closed or ds[n - 1] != (n - 1) * c_closed:
+        raise AlgebraConsistencyError(
+            f"step {n - 1} of the module recurrence disagrees with its closed form at n={n}")
+    d_final = PiScalar(2 ** n).div_by_monomial(ball_volume(n))
+    if cs[n] != PiScalar(0) or ds[n] != d_final:
+        raise AlgebraConsistencyError(
+            f"step {n} of the module recurrence disagrees with its closed form at n={n}")
+
+    vec = (1, 0)
+    for i in range(n - 1, 0, -1):
+        vec = (i * vec[0], vec[0] + (i + 1) * vec[1])
+    if vec != (factorial(n - 1), factorial(n - 1) * (n - 1)):
+        raise AlgebraConsistencyError(f"integer matrix identity fails at n={n}")
+    return cs, ds
+
+
+def verify_delta_pairing(n: int, k: int, q: int) -> bool:
+    """Two-route check of the closed form behind delta_star_closed_form.
+
+    For every j with 0 <= 2j <= 2n-k, the direct pairing value
+    omega_{2n-k} (2n-k-2j)! (2j)! C(n-k+q, j) / pi^(2n-k) must equal the
+    expansion through unit-ball values of t^(2n-2i-2j) s^i u^j monomials.
+    """
+    prefactor, coeffs = _delta_star_coefficients(n, k, q)
+    for j in range(0, (2 * n - k) // 2 + 1):
+        total = sum(c * tsu_ball_value(n, i, j) for i, c in coeffs.items())
+        if mustar_pairing(n, k, q, j) != prefactor * PiScalar(total * factorial(n), -n):
+            return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# Suites
+# ---------------------------------------------------------------------------
 
 # Sweep bounds for the identity suites.
 MAX_FPQ_K = 40
@@ -96,17 +358,12 @@ def f_series(upto: int) -> list[STPoly]:
             for shift, factor in ((1, t), (2, s)):
                 if deg + shift > upto:
                     continue
-                acc = nxt.get(deg + shift, STPoly()) + coeff * factor
-                nxt[deg + shift] = acc
+                nxt[deg + shift] = nxt.get(deg + shift, STPoly()) + coeff * factor
         power = nxt
         weight = Fraction(1 if m % 2 else -1, m)
         for deg, coeff in power.items():
             out[deg] = out[deg] + coeff * weight
     return out
-
-
-def _sweep(name: str, failures: list[str]) -> CheckResult:
-    return CheckResult(name, not failures, "; ".join(failures[:8]))
 
 
 def _ball_values_check(n: int) -> CheckResult:
@@ -128,20 +385,14 @@ def identities_suite(n: int) -> list[CheckResult]:
     bad = [f"k={k}" for k in range(1, MAX_FPQ_K + 1) if not check_fpq_relation(k)]
     checks.append(_sweep(f"-(4s-t^2) q_(k-1) + t p_k = (k+1)^2 f_(k+1) (k <= {MAX_FPQ_K})", bad))
 
-    bad = []
-    for r in range(MAX_COMBINAT_R + 1):
-        for m in range(-(r // 2), MAX_COMBINAT_MR - r + 1):
-            if not combinat_identity(r, m):
-                bad.append(f"(r={r}, m={m})")
+    bad = [f"(r={r}, m={m})" for r in range(MAX_COMBINAT_R + 1)
+           for m in range(-(r // 2), MAX_COMBINAT_MR - r + 1) if not combinat_identity(r, m)]
     checks.append(_sweep(
         f"binomial identity sweep (r <= {MAX_COMBINAT_R}, 2m+r >= 0, m+r <= {MAX_COMBINAT_MR})", bad))
 
-    bad = []
-    for r in range(MAX_WZ_R + 1):
-        for m in range(-(r // 2), MAX_WZ_MR - r + 1):
-            for i in range(r // 2 + 1):
-                if not wz_certificate_check(r, m, i):
-                    bad.append(f"(r={r}, m={m}, i={i})")
+    bad = [f"(r={r}, m={m}, i={i})" for r in range(MAX_WZ_R + 1)
+           for m in range(-(r // 2), MAX_WZ_MR - r + 1) for i in range(r // 2 + 1)
+           if not wz_certificate_check(r, m, i)]
     checks.append(_sweep(f"telescoping certificate termwise (r <= {MAX_WZ_R})", bad))
 
     checks.append(_ball_values_check(n))
@@ -192,8 +443,7 @@ def algebra_suite(n: int) -> list[CheckResult]:
     for i, left in enumerate(indices):
         for right in indices[i:]:
             forward = basis_product(n, left, right)
-            backward = product(basis_element(n, right), basis_element(n, left))
-            if forward != backward:
+            if forward != basis_product(n, right, left):
                 bad.append(f"{left.text()} * {right.text()}")
             if left.k + right.k > top and not forward.is_zero():
                 bad.append(f"truncation: {left.text()} * {right.text()}")
@@ -269,9 +519,10 @@ def _associativity_check(n: int) -> CheckResult:
             for c in indices[j:]:
                 if a.k + b.k + c.k > top:
                     break
-                left = sum((coeff * basis_product(n, idx, c) for idx, coeff in ab.items()), zero(n))
-                right = sum((coeff * basis_product(n, a, idx)
-                             for idx, coeff in basis_product(n, b, c).items()), zero(n))
+                left = add_terms({}, ((idx, coeff * term) for inner, coeff in ab.items()
+                                      for idx, term in basis_product(n, inner, c).items()))
+                right = add_terms({}, ((idx, coeff * term) for inner, coeff in basis_product(n, b, c).items()
+                                       for idx, term in basis_product(n, a, inner).items()))
                 if left != right:
                     bad.append(f"({a.text()} {b.text()}) {c.text()}")
     return _sweep("associativity (ab)c = a(bc) on basis triples", bad)

@@ -17,25 +17,25 @@ from ukin.areabasis import AreaIndex, Family, census, valid_indices, dual_basis_
 from ukin.dualalgebra import (
     basis_element,
     basis_product,
-    delta_star_closed_form,
     eval_poly,
-    module_recurrence,
     monomial_rank,
     mul_sbar,
     mul_tbar,
-    product_nn,
     unit,
-    verify_delta_pairing,
-    verify_relations,
 )
 from ukin.exactnum import PiScalar, ball_volume
 from ukin.kinematics import full_table
-from ukin.stpoly import (
+from ukin.stpoly import p_poly
+from ukin.verify import (
     check_fpq_relation,
     combinat_identity,
-    p_poly,
+    delta_star_closed_form,
+    module_recurrence,
+    product_nn,
     tsu_ball_value,
     tsu_ball_value_oracle,
+    verify_delta_pairing,
+    verify_relations,
     wz_certificate_check,
 )
 

@@ -1,5 +1,7 @@
 """CLI contract: exit codes, stream separation, determinism, golden files."""
 
+import ast
+import importlib
 import json
 import os
 import subprocess
@@ -43,7 +45,109 @@ def test_harness_imports_package_under_test():
     assert Path(result.stdout.strip()).resolve() == Path(ukin.__file__).resolve()
 
 
+# ukin.__all__ as it stood when the check code moved to ukin.verify.
+PUBLIC_NAMES = [
+    "AreaDualElement", "AreaIndex", "CanonicalForm", "Census", "CheckResult",
+    "Family", "InvalidIndexError", "KinematicTable", "PiScalar", "Rational",
+    "STPoly", "ball_volume", "basis_element", "basis_product", "binomial",
+    "canonicalize", "census", "check_fpq_relation", "combinat_identity",
+    "delta_star_closed_form", "dual_bg_to_dn", "dual_dn_to_bg", "dual_element",
+    "emit", "emit_tables", "eval_poly", "full_table", "fu_poly",
+    "global_formula", "local_formula", "module_recurrence", "monomial_rank",
+    "mul_sbar", "mul_tbar", "mustar_pairing", "p_poly", "parse_index",
+    "primal_bg_from_dn", "primal_dn_from_bg", "product", "product_nn",
+    "q_poly", "sbar", "semilocal_formula", "tbar",
+    "tsu_ball_value", "unit", "valid_indices", "vbar", "verify_delta_pairing",
+    "verify_relations", "wz_certificate_check",
+]
+
+# The modules that build tables; none of them may import ukin.verify.
+ENGINE_MODULES = ("exactnum", "stpoly", "areabasis", "dualalgebra", "kinematics")
+
+# The check code that moved from dualalgebra and stpoly into ukin.verify.
+CHECK_NAMES = (
+    "AlgebraConsistencyError", "CheckResult", "_combinat_term", "_delta_star_coefficients",
+    "_zero_check", "check_fpq_relation", "combinat_identity", "delta_star_closed_form",
+    "module_recurrence", "mustar_pairing", "product_nn", "tsu_ball_value",
+    "tsu_ball_value_oracle", "verify_delta_pairing", "verify_relations", "wz_certificate_check",
+)
+
+# Runs ukin.cli.main on the command-line arguments, then prints the loaded
+# ukin modules to stderr as JSON.
+MODULES_AFTER_MAIN = (
+    "import json, sys\n"
+    "from ukin.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'ukin')), file=sys.stderr)\n"
+    "sys.exit(code)\n"
+)
+
+
+def _imported_names(module: str) -> set[str]:
+    """Every module part and name that an import statement in ukin/<module>.py names."""
+    tree = ast.parse((Path(ukin.__file__).parent / f"{module}.py").read_text(encoding="utf-8"))
+    names: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(part for alias in node.names for part in alias.name.split("."))
+        elif isinstance(node, ast.ImportFrom):
+            names.update((node.module or "").split("."))
+            names.update(alias.name for alias in node.names)
+    return names
+
+
 class TestLazyImports:
+    def test_public_names_are_unchanged(self):
+        from ukin import verify
+
+        assert ukin.__all__ == PUBLIC_NAMES
+        for name in PUBLIC_NAMES:
+            assert getattr(ukin, name) is not None, name
+        assert ukin.product_nn is verify.product_nn
+        assert ukin.CheckResult is verify.CheckResult
+        with pytest.raises(AttributeError):
+            ukin.no_such_name
+
+    @pytest.mark.parametrize("argv", [
+        ["table", "--n", "3"],
+        ["table", "--n", "3", "--basis", "b-gamma", "--format", "json"],
+        ["formula", "--n", "3", "--target", "N:2,0", "--format", "latex"],
+        ["global", "--n", "3", "--target", "Delta:2,1"],
+        ["semilocal", "--n", "3", "--target", "N:1,0"],
+        ["census", "--n", "5", "--format", "json"],
+    ], ids=["table", "table-b-gamma", "formula", "global", "semilocal", "census"])
+    def test_engine_verbs_leave_verify_unloaded(self, argv):
+        result = subprocess.run([sys.executable, "-c", MODULES_AFTER_MAIN, *argv],
+                                capture_output=True, text=True, env=cli_env())
+        assert result.returncode == 0, result.stderr
+        loaded = json.loads(result.stderr.splitlines()[-1])
+        assert "ukin.cli" in loaded and "ukin.dualalgebra" in loaded
+        assert "ukin.verify" not in loaded
+
+    def test_verify_verb_loads_verify(self):
+        # The probe above can see ukin.verify when it is loaded.
+        result = subprocess.run([sys.executable, "-c", MODULES_AFTER_MAIN, "verify", "--n", "2",
+                                 "--suite", "relations"], capture_output=True, text=True, env=cli_env())
+        assert result.returncode == 0, result.stderr
+        assert "ukin.verify" in json.loads(result.stderr.splitlines()[-1])
+
+    @pytest.mark.parametrize("module", ENGINE_MODULES)
+    def test_engine_module_does_not_import_verify(self, module):
+        assert "verify" not in _imported_names(module)
+
+    def test_check_code_lives_in_verify(self):
+        from ukin import verify
+
+        for name in CHECK_NAMES:
+            assert getattr(verify, name).__module__ == "ukin.verify", name
+        for module in ENGINE_MODULES:
+            defined = vars(importlib.import_module(f"ukin.{module}"))
+            assert not set(CHECK_NAMES) & set(defined), module
+
+    def test_import_scan_sees_verify(self):
+        # cli imports verify inside its verify and identities branches.
+        assert "verify" in _imported_names("cli")
+
     def test_parser_suites_are_verify_suites(self):
         from ukin import cli, verify
 
@@ -272,7 +376,7 @@ class TestGoldenFiles:
 class TestReportHelper:
     def test_failure_exit_code_and_stream(self, capsys, monkeypatch):
         from ukin.cli import _report
-        from ukin.dualalgebra import CheckResult
+        from ukin.verify import CheckResult
         monkeypatch.setenv("UKIN_COLOR", "0")
         rc = _report([CheckResult("good", True), CheckResult("bad", False, "boom")])
         captured = capsys.readouterr()
@@ -283,7 +387,7 @@ class TestReportHelper:
 
     def test_color_follows_env(self, capsys, monkeypatch):
         from ukin.cli import _report
-        from ukin.dualalgebra import CheckResult
+        from ukin.verify import CheckResult
         monkeypatch.delenv("UKIN_COLOR", raising=False)
         monkeypatch.setattr(sys.stderr, "isatty", lambda: True, raising=False)
         _report([CheckResult("x", True)])

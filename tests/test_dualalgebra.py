@@ -13,25 +13,27 @@ from ukin.dualalgebra import (
     basis_element,
     basis_product,
     canonicalize,
-    delta_star_closed_form,
     dual_element,
     eval_poly,
-    module_recurrence,
     monomial_rank,
     mul_sbar,
     mul_tbar,
     product,
-    product_nn,
     sbar,
     tbar,
     unit,
     vbar,
-    verify_delta_pairing,
-    verify_relations,
 )
 from ukin.exactnum import PiScalar, ball_volume
 from ukin.kinematics import BASIS_B_GAMMA, BASIS_DELTA_N, full_table
 from ukin.stpoly import STPoly, fu_poly, p_poly
+from ukin.verify import (
+    delta_star_closed_form,
+    module_recurrence,
+    product_nn,
+    verify_delta_pairing,
+    verify_relations,
+)
 
 
 def D(k, q):

@@ -10,14 +10,11 @@ from fractions import Fraction
 import pytest
 
 from ukin.exactnum import PiScalar
-from ukin.stpoly import (
-    STPoly,
+from ukin.stpoly import STPoly, fu_poly, p_poly, q_poly
+from ukin.verify import (
     check_fpq_relation,
     combinat_identity,
-    fu_poly,
     mustar_pairing,
-    p_poly,
-    q_poly,
     tsu_ball_value,
     tsu_ball_value_oracle,
     wz_certificate_check,
