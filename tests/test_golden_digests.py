@@ -2,9 +2,12 @@
 
 The documents are `table` for n = 2..7 in both bases, and every `global`
 (Delta) and `semilocal` (Delta and N) target for n = 2 and 3, each as text,
-latex and json.  They are produced by `ukin.cli.main` in-process with stdout
-captured; `tests/golden/digests.json` maps each command line to the digest of
-its stdout.
+latex and json; `formula` for the middle-degree target `F:n,1` of each
+family F at n = 4..8, in the family's own basis, as json and as text (Delta,
+N) or latex (B, Gamma); and `census` for n = 5 and 12, as json and text.
+They are produced by `ukin.cli.main` in-process with stdout captured;
+`tests/golden/digests.json` maps each command line to the digest of its
+stdout.
 
 Regenerate the file only when an output change is intended:
 
@@ -25,6 +28,7 @@ from ukin.cli import main
 
 DIGESTS = Path(__file__).parent / "golden" / "digests.json"
 FORMATS = ("text", "latex", "json")
+BASIS_FAMILIES = {"delta-n": ("Delta", "N"), "b-gamma": ("B", "Gamma")}
 
 
 def documents() -> list[str]:
@@ -41,6 +45,11 @@ def documents() -> list[str]:
         for verb, indices in targets.items():
             commands += [f"{verb} --n {n} --target {idx.text()} --format {fmt}"
                          for idx in indices for fmt in FORMATS]
+    commands += [f"formula --n {n} --target {family}:{n},1 --basis {basis} --format {fmt}"
+                 for n in range(4, 9)
+                 for basis, second in (("delta-n", "text"), ("b-gamma", "latex"))
+                 for family in BASIS_FAMILIES[basis] for fmt in ("json", second)]
+    commands += [f"census --n {n} --format {fmt}" for n in (5, 12) for fmt in ("json", "text")]
     return commands
 
 
@@ -59,7 +68,7 @@ def stored() -> dict[str, str]:
 
 
 def test_digest_file_covers_exactly_the_gated_documents(stored):
-    assert len(documents()) == 132
+    assert len(documents()) == 176
     assert sorted(stored) == sorted(documents())
 
 
