@@ -16,10 +16,10 @@ most 2x2 per (k, q), whose rows and columns give all four maps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 
 class InvalidIndexError(ValueError):
@@ -41,8 +41,7 @@ _FAMILY_RANK = {Family.DELTA: 0, Family.N: 1, Family.B: 2, Family.GAMMA: 3}
 _LATEX_NAME = {Family.DELTA: "\\Delta", Family.N: "N", Family.B: "B", Family.GAMMA: "\\Gamma"}
 
 
-@dataclass(frozen=True)
-class AreaIndex:
+class AreaIndex(NamedTuple):
     family: Family
     k: int
     q: int
@@ -139,8 +138,7 @@ def indices_of_degree(n: int, degree: int, families: tuple[Family, ...] = (Famil
     return sorted(merged, key=lambda idx: idx.sort_key)
 
 
-@dataclass(frozen=True)
-class Census:
+class Census(NamedTuple):
     n: int
     per_degree: tuple[int, ...]        # Delta + N counts, degrees 0 .. 2n-1
     per_degree_delta: tuple[int, ...]

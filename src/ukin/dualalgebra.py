@@ -51,11 +51,10 @@ concurrent use needs no coordination.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .areabasis import (
     AreaIndex,
@@ -370,8 +369,7 @@ def mul_sbar(x: AreaDualElement) -> AreaDualElement:
     return eval_poly(STPoly.var_s(), x)
 
 
-@dataclass(frozen=True)
-class CanonicalForm:
+class CanonicalForm(NamedTuple):
     """Representation x = phi(sbar, tbar) + psi(sbar, tbar) * vbar.
 
     Representatives are unique only modulo the relation ideal; this engine

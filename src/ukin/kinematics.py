@@ -14,9 +14,8 @@ mu_{k,q}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .areabasis import (
     AreaIndex,
@@ -41,8 +40,7 @@ _BASIS_FAMILIES = {
 Pair = tuple[AreaIndex, AreaIndex]
 
 
-@dataclass(frozen=True)
-class KinematicTable:
+class KinematicTable(NamedTuple):
     """Coefficient array of one additive kinematic formula.
 
     kind is 'local' (both slots area measures), 'semilocal' (second slot

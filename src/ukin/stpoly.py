@@ -133,14 +133,6 @@ class STPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent: int) -> "STPoly":
-        if exponent < 0:
-            raise ValueError("negative power of a polynomial")
-        result = STPoly.constant(1)
-        for _ in range(exponent):
-            result = result * self
-        return result
-
     # -- rendering ------------------------------------------------------------
 
     def text(self) -> str:

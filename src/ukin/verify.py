@@ -12,9 +12,9 @@ they validate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
+from typing import NamedTuple
 
 from .areabasis import (
     AreaIndex,
@@ -46,8 +46,7 @@ class AlgebraConsistencyError(RuntimeError):
     """An internal cross-check against a closed form failed."""
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str = ""
@@ -76,9 +75,6 @@ def check_fpq_relation(k: int) -> bool:
     lhs = -(u * q_poly(k - 1)) + t * p_poly(k)
     rhs = (k + 1) ** 2 * fu_poly(k + 1)
     return lhs == rhs
-
-
-
 
 
 def tsu_ball_value(n: int, i: int, j: int) -> Rational:
@@ -207,9 +203,6 @@ def delta_star_closed_form(n: int, k: int, q: int) -> STPoly:
     """
     prefactor, coeffs = _delta_star_coefficients(n, k, q)
     return STPoly({(k - 2 * i, i): prefactor * c for i, c in coeffs.items()})
-
-
-
 
 
 def verify_relations(n: int) -> list[CheckResult]:

@@ -72,15 +72,29 @@ CHECK_NAMES = (
     "tsu_ball_value_oracle", "verify_delta_pairing", "verify_relations", "wz_certificate_check",
 )
 
-# Runs ukin.cli.main on the command-line arguments, then prints the loaded
-# ukin modules to stderr as JSON.
+# Prints the loaded ukin modules, and dataclasses if it is loaded, to stderr
+# as JSON.
+PRINT_MODULES = (
+    "print(json.dumps(sorted(m for m in sys.modules\n"
+    "                        if m.split('.')[0] == 'ukin' or m == 'dataclasses')), file=sys.stderr)\n"
+)
+
+# Runs ukin.cli.main on the command-line arguments, then prints the modules.
 MODULES_AFTER_MAIN = (
     "import json, sys\n"
     "from ukin.cli import main\n"
     "code = main(sys.argv[1:])\n"
-    "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'ukin')), file=sys.stderr)\n"
+    + PRINT_MODULES +
     "sys.exit(code)\n"
 )
+
+
+def _modules_after(script: str, *argv: str) -> list[str]:
+    """The modules that PRINT_MODULES reports at the end of a script that exits 0."""
+    result = subprocess.run([sys.executable, "-c", script, *argv],
+                            capture_output=True, text=True, env=cli_env())
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stderr.splitlines()[-1])
 
 
 def _imported_names(module: str) -> set[str]:
@@ -117,19 +131,51 @@ class TestLazyImports:
         ["census", "--n", "5", "--format", "json"],
     ], ids=["table", "table-b-gamma", "formula", "global", "semilocal", "census"])
     def test_engine_verbs_leave_verify_unloaded(self, argv):
-        result = subprocess.run([sys.executable, "-c", MODULES_AFTER_MAIN, *argv],
-                                capture_output=True, text=True, env=cli_env())
-        assert result.returncode == 0, result.stderr
-        loaded = json.loads(result.stderr.splitlines()[-1])
+        loaded = _modules_after(MODULES_AFTER_MAIN, *argv)
         assert "ukin.cli" in loaded and "ukin.dualalgebra" in loaded
         assert "ukin.verify" not in loaded
+        assert "dataclasses" not in loaded
 
-    def test_verify_verb_loads_verify(self):
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--n", "2", "--suite", "relations"],
+        ["verify", "--n", "3", "--suite", "all"],
+        ["identities"],
+    ], ids=["verify-relations", "verify-all", "identities"])
+    def test_verify_verbs_load_verify_but_not_dataclasses(self, argv):
         # The probe above can see ukin.verify when it is loaded.
-        result = subprocess.run([sys.executable, "-c", MODULES_AFTER_MAIN, "verify", "--n", "2",
-                                 "--suite", "relations"], capture_output=True, text=True, env=cli_env())
-        assert result.returncode == 0, result.stderr
-        assert "ukin.verify" in json.loads(result.stderr.splitlines()[-1])
+        loaded = _modules_after(MODULES_AFTER_MAIN, *argv)
+        assert "ukin.verify" in loaded
+        assert "dataclasses" not in loaded
+
+    def test_import_of_cli_leaves_dataclasses_unloaded(self):
+        loaded = _modules_after("import json, sys\nimport ukin.cli\n" + PRINT_MODULES)
+        assert "ukin.cli" in loaded
+        assert "dataclasses" not in loaded
+
+    def test_probe_sees_dataclasses(self):
+        loaded = _modules_after("import dataclasses, json, sys\nimport ukin.cli\n" + PRINT_MODULES)
+        assert "dataclasses" in loaded
+
+    def test_records_keep_their_contract(self):
+        # The records are immutable and hash, compare and print by their
+        # fields, as they did when they were frozen dataclasses.
+        index = ukin.AreaIndex(ukin.Family.DELTA, 2, 1)
+        assert hash(index) == hash((ukin.Family.DELTA, 2, 1))
+        assert index == ukin.AreaIndex(ukin.Family.DELTA, 2, 1) != ukin.AreaIndex(ukin.Family.N, 2, 1)
+        assert repr(index) == "AreaIndex(family=<Family.DELTA: 'Delta'>, k=2, q=1)"
+        table = ukin.KinematicTable(2, index, "delta-n", {})
+        assert table.kind == "local"
+        assert repr(table) == ("KinematicTable(n=2, target=AreaIndex(family=<Family.DELTA: 'Delta'>, "
+                               "k=2, q=1), basis='delta-n', entries={}, kind='local')")
+        assert repr(ukin.census(2)) == ("Census(n=2, per_degree=(1, 2, 2, 1), per_degree_delta=(1, 1, 2, 1), "
+                                        "per_degree_n=(0, 1, 0, 0))")
+        assert repr(ukin.CheckResult("x", True)) == "CheckResult(name='x', passed=True, detail='')"
+        form = ukin.canonicalize(ukin.unit(2))
+        assert repr(form) == "CanonicalForm(n=2, phi=STPoly('1'), psi=STPoly('0'))"
+        for record, field in ((index, "k"), (table, "kind"), (ukin.census(2), "n"),
+                              (ukin.CheckResult("x", True), "detail"), (form, "phi")):
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)
 
     @pytest.mark.parametrize("module", ENGINE_MODULES)
     def test_engine_module_does_not_import_verify(self, module):
