@@ -158,7 +158,7 @@ class TestLazyImports:
 
     def test_records_keep_their_contract(self):
         # The records are immutable and hash, compare and print by their
-        # fields, as they did when they were frozen dataclasses.
+        # fields; a hash of the field tuple keeps set and dict orders fixed.
         index = ukin.AreaIndex(ukin.Family.DELTA, 2, 1)
         assert hash(index) == hash((ukin.Family.DELTA, 2, 1))
         assert index == ukin.AreaIndex(ukin.Family.DELTA, 2, 1) != ukin.AreaIndex(ukin.Family.N, 2, 1)

@@ -28,7 +28,6 @@ from ukin.cli import main
 
 DIGESTS = Path(__file__).parent / "golden" / "digests.json"
 FORMATS = ("text", "latex", "json")
-BASIS_FAMILIES = {"delta-n": ("Delta", "N"), "b-gamma": ("B", "Gamma")}
 
 
 def documents() -> list[str]:
@@ -47,8 +46,9 @@ def documents() -> list[str]:
                          for idx in indices for fmt in FORMATS]
     commands += [f"formula --n {n} --target {family}:{n},1 --basis {basis} --format {fmt}"
                  for n in range(4, 9)
-                 for basis, second in (("delta-n", "text"), ("b-gamma", "latex"))
-                 for family in BASIS_FAMILIES[basis] for fmt in ("json", second)]
+                 for basis, families, second in (("delta-n", ("Delta", "N"), "text"),
+                                                 ("b-gamma", ("B", "Gamma"), "latex"))
+                 for family in families for fmt in ("json", second)]
     commands += [f"census --n {n} --format {fmt}" for n in (5, 12) for fmt in ("json", "text")]
     return commands
 
