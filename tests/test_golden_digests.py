@@ -49,7 +49,7 @@ def documents() -> list[str]:
                  for basis, families, second in (("delta-n", ("Delta", "N"), "text"),
                                                  ("b-gamma", ("B", "Gamma"), "latex"))
                  for family in families for fmt in ("json", second)]
-    commands += [f"census --n {n} --format {fmt}" for n in (5, 12) for fmt in ("json", "text")]
+    commands += [f"census --n {n} --format {fmt}" for n in (5, 12, 24) for fmt in ("json", "text")]
     return commands
 
 
@@ -68,7 +68,7 @@ def stored() -> dict[str, str]:
 
 
 def test_digest_file_covers_exactly_the_gated_documents(stored):
-    assert len(documents()) == 176
+    assert len(documents()) == 178
     assert sorted(stored) == sorted(documents())
 
 
