@@ -68,12 +68,21 @@ class AreaIndex(NamedTuple):
         return f"{self.family.value}_{{{self.k},{self.q}}}"
 
 
+def _parse_integer(text: str) -> int:
+    # ASCII digits with an optional sign; int() alone also reads '1_0',
+    # surrounding whitespace and non-ASCII digits.
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def parse_index(text: str) -> AreaIndex:
-    """Parse the CLI index syntax 'Family:k,q'."""
+    """Parse the CLI index syntax 'Family:k,q'; k and q are ASCII integers."""
     try:
         name, coords = text.split(":")
         k_str, q_str = coords.split(",")
-        return AreaIndex(Family(name), int(k_str), int(q_str))
+        return AreaIndex(Family(name), _parse_integer(k_str), _parse_integer(q_str))
     except (ValueError, KeyError) as exc:
         raise InvalidIndexError(
             f"malformed index {text!r}; expected e.g. 'Delta:2,1' with family "

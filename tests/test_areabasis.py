@@ -77,6 +77,12 @@ class TestRanges:
         with pytest.raises(InvalidIndexError):
             parse_index("Sigma:1,0")
 
+    def test_parse_reads_only_ascii_integers(self):
+        assert parse_index("N:+3,-0") == idx("N", 3, 0)
+        for text in ("Delta:1_0,0", "Delta:\u0661,0", "Delta: 2,1", "Delta:2,", "Delta:-,1", "Delta:+-2,1"):
+            with pytest.raises(InvalidIndexError, match="malformed index"):
+                parse_index(text)
+
 
 class TestCensus:
     def test_n2_total(self):

@@ -227,6 +227,13 @@ class TestExitCodes:
         result = run_cli("formula", "--n", "2", "--target", "Delta:2")
         assert result.returncode == 2
 
+    @pytest.mark.parametrize("target", ["Delta:1_0,0", "Delta:\u0661,0"], ids=["underscore", "arabic-indic"])
+    def test_target_digits_are_ascii_only(self, target):
+        # int() alone would read these as Delta:10,0 and Delta:1,0.
+        result = run_cli("formula", "--n", "6", "--target", target)
+        assert result.returncode == 2
+        assert "malformed index" in result.stderr and "invalid index" not in result.stderr
+
     def test_small_n_rejected(self):
         result = run_cli("table", "--n", "1")
         assert result.returncode == 2
