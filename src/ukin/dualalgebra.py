@@ -18,16 +18,18 @@ product is reduced to those through the canonical form
 pi never enters the degree systems.  In the rescaled basis
 X'_{k,q} = pi^(-floor(k/2)) X*_{k,q} the raising rules have rational
 coefficients; they are stated once, per (n, family, k, q), and read by one
-cached function, _rational_image, which gives tbar^a sbar^b X'_source for a
-Delta/N source.  Every generator step goes through it: eval_poly (and
-mul_tbar, mul_sbar, which are eval_poly of t and s) attaches
+cached function, _integer_image, which gives tbar^a sbar^b X'_source for a
+Delta/N source as integer numerators over one denominator.  _rational_image
+is its cached Fraction view.  Every generator step goes through them:
+eval_poly (and mul_tbar, mul_sbar, which are eval_poly of t and s) attaches
 pi^(floor(k/2) - floor(r/2)) to an image coefficient from X'_k to X'_r, and
-the canonical forms and the degree systems read its two generator columns,
+the canonical forms and the degree systems read the two generator columns,
 the unit (source Delta_{0,0}) and vbar (source B_{1,0}, whose chains start
 from _edge_ratio(n) B*_{1,0} and so are cached already scaled).
-Each degree r has one integer matrix, the X' images of its generator
-monomials over one common denominator, and one fraction-free elimination
-(Bareiss) serves both the rank that census checks and the canonical solves.
+Each degree r has one integer matrix, whose columns are the X' images of its
+generator monomials, each a primitive integer vector with its own rational
+scale, and one fraction-free elimination (Bareiss) serves both the rank that
+census checks and the canonical solves.
 
 The canonical form is solved once per Delta*/N* basis element, on the
 integer matrix of its degree, and cached: the form of X*_{k,q} is the
@@ -53,7 +55,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Mapping, NamedTuple
 
 from .areabasis import (
@@ -320,23 +322,40 @@ _VBAR_SOURCE = AreaIndex(Family.B, 1, 0)
 
 
 @lru_cache(maxsize=None)
-def _rational_image(n: int, t_exp: int, s_exp: int, source: AreaIndex) -> dict[AreaIndex, Fraction]:
+def _integer_image(n: int, t_exp: int, s_exp: int, source: AreaIndex) -> tuple[dict[AreaIndex, int], int]:
     # tbar^a sbar^b X'_source in X' coordinates, for a Delta/N source or the
-    # vbar source, whose chains are cached already scaled by _edge_ratio(n);
-    # the only reader of the raising rules.  Read only, never mutated.
+    # vbar source, whose chains start from _edge_ratio(n) X'_{B 1,0}: integer
+    # numerators over one positive denominator, in lowest terms.  Each step
+    # scales by the lcm of the rule denominators it reads.  The only reader of
+    # the raising rules; read only, never mutated.
     if t_exp == 0 and s_exp == 0:
-        if source == _VBAR_SOURCE:
-            ratio = _edge_ratio(n)
-            return {idx: ratio * c for idx, c in dual_bg_to_dn(n, source).items()}
-        return _dn_terms(n, source)
+        ratio = _edge_ratio(n) if source == _VBAR_SOURCE else 1
+        terms = {idx: ratio * c for idx, c in _dn_terms(n, source).items()}
+        denominator = lcm(*(c.denominator for c in terms.values()))
+        return _lowest_terms({idx: c.numerator * (denominator // c.denominator) for idx, c in terms.items()},
+                             denominator)
     if s_exp > 0:
-        image, rule = _rational_image(n, t_exp, s_exp - 1, source), _sbar_rule
+        (image, denominator), rule = _integer_image(n, t_exp, s_exp - 1, source), _sbar_rule
     else:
-        image, rule = _rational_image(n, t_exp - 1, s_exp, source), _tbar_rule
-    out: dict[AreaIndex, Fraction] = {}
-    for idx, coeff in image.items():
-        add_terms(out, ((target, coeff * c) for target, c in rule(n, idx.family, idx.k, idx.q)))
-    return out
+        (image, denominator), rule = _integer_image(n, t_exp - 1, s_exp, source), _tbar_rule
+    steps = [(numerator, rule(n, idx.family, idx.k, idx.q)) for idx, numerator in image.items()]
+    scale = lcm(*(c.denominator for _, step in steps for _, c in step))
+    out: dict[AreaIndex, int] = {}
+    for numerator, step in steps:
+        add_terms(out, ((target, numerator * c.numerator * (scale // c.denominator)) for target, c in step))
+    return _lowest_terms(out, denominator * scale)
+
+
+def _lowest_terms(numerators: dict[AreaIndex, int], denominator: int) -> tuple[dict[AreaIndex, int], int]:
+    divisor = gcd(denominator, *numerators.values())
+    return {idx: c // divisor for idx, c in numerators.items()}, denominator // divisor
+
+
+@lru_cache(maxsize=None)
+def _rational_image(n: int, t_exp: int, s_exp: int, source: AreaIndex) -> dict[AreaIndex, Fraction]:
+    # The Fraction view of _integer_image, which _apply reads.  Read only.
+    image, denominator = _integer_image(n, t_exp, s_exp, source)
+    return {idx: Fraction(c, denominator) for idx, c in image.items()}
 
 
 def _apply(n: int, terms: Iterable[tuple[tuple[int, int], AreaIndex, PiScalar]]) -> AreaDualElement:
@@ -401,20 +420,26 @@ def _degree_columns(n: int, degree: int) -> tuple[tuple[int, bool], ...]:
 
 @lru_cache(maxsize=None)
 def _degree_system(n: int, degree: int):
-    """Rows (basis indices of the degree), column keys, and the image matrix.
+    """Rows (basis indices of the degree), column keys, the image matrix and
+    its column scales.
 
-    The matrix holds the X' coordinates of the column images scaled to
-    integers: entry / denominator is the rational coefficient, so on X* the
-    images are matrix * pi^(-floor(degree/2)) / denominator.
+    Column j of the matrix is the X' image of the generator monomial cols[j]
+    as a primitive integer vector, and scales[j] is its positive rational
+    scale: matrix[i][j] * scales[j] is the rational coefficient, so on X* the
+    image is that times pi^(-floor(degree/2)).  Scaling a column keeps the
+    zero pattern of every elimination step, so the pivots, the rank and the
+    selected solution are those of the rational matrix.
     """
     rows = tuple(indices_of_degree(n, degree))
     cols = _degree_columns(n, degree)
-    images = [_rational_image(n, degree - on_v - 2 * b, b, _VBAR_SOURCE if on_v else _UNIT_SOURCE)
-              for b, on_v in cols]
-    denominator = lcm(*(c.denominator for image in images for c in image.values()))
-    scaled = [{idx: c.numerator * (denominator // c.denominator) for idx, c in image.items()} for image in images]
-    matrix = tuple(tuple(column.get(idx, 0) for column in scaled) for idx in rows)
-    return rows, cols, matrix, denominator
+    columns, scales = [], []
+    for b, on_v in cols:
+        image, denominator = _integer_image(n, degree - on_v - 2 * b, b, _VBAR_SOURCE if on_v else _UNIT_SOURCE)
+        content = gcd(*image.values())
+        columns.append({idx: c // content for idx, c in image.items()})
+        scales.append(Fraction(content, denominator))
+    matrix = tuple(tuple(column.get(idx, 0) for column in columns) for idx in rows)
+    return rows, cols, matrix, tuple(scales)
 
 
 def _gauss_solve(matrix, rhs):
@@ -481,17 +506,17 @@ def _basis_canonical(n: int, index: AreaIndex) -> CanonicalForm:
     _gauss_solve picks its pivots from the matrix alone, so the solution it
     selects is linear in the right-hand side; canonicalize relies on that to
     assemble the form of any element from these.  The integer system solves
-    for X'_k; the form of X*_k = pi^floor(k/2) X'_k is that solution times
-    the denominator and pi^floor(k/2).
+    for X'_k in its scaled columns; the form of X*_k = pi^floor(k/2) X'_k is
+    each solution coordinate over its column's scale, times pi^floor(k/2).
     """
     degree = index.k
-    rows, cols, matrix, denominator = _degree_system(n, degree)
+    rows, cols, matrix, scales = _degree_system(n, degree)
     solution, _ = _gauss_solve(matrix, [int(idx == index) for idx in rows])
     phi, psi = {}, {}
-    for (b, on_v), coeff in zip(cols, solution):
+    for (b, on_v), coeff, scale in zip(cols, solution, scales):
         if coeff:
             a = (degree - (1 if on_v else 0)) - 2 * b
-            (psi if on_v else phi)[(a, b)] = PiScalar(coeff * denominator, degree // 2)
+            (psi if on_v else phi)[(a, b)] = PiScalar(coeff / scale, degree // 2)
     return CanonicalForm(n, STPoly(phi), STPoly(psi))
 
 

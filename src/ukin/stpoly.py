@@ -11,7 +11,8 @@ The three families carried here are the Taylor coefficients of
     1 / (1 + t x + s x^2)     -> p_k,
     -1 / (1 + t x + s x^2)^2  -> q_k,
 
-the polynomials in the relations of the dual algebra.  The identities that check
+the polynomials in the relations of the dual algebra; each is a binomial
+closed form over its s-exponent.  The identities that check
 them and the dual-basis closed form (the f/p/q relation, unit-ball values of
 t,s,u monomials, a binomial identity and its telescoping certificate) live
 in ukin.verify.
@@ -224,15 +225,16 @@ def q_poly(k: int) -> STPoly:
 def fu_poly(k: int) -> STPoly:
     """Coefficient of x^k in log(1 + t x + s x^2).
 
-    Computed through (k+1) f_{k+1} = t p_k + 2 s p_{k-1} (differentiate the
-    log series); the division by k+1 is exact.  f_0 = 0.
+    Closed form: f_k = sum_j (-1)^(k-j+1) C(k-j, j)/(k-j) s^j t^(k-2j), the
+    x^k terms of sum_m (-1)^(m+1) (t x + s x^2)^m / m at m = k - j; f_0 = 0.
+    It equals (t p_{k-1} + 2 s p_{k-2}) / k (differentiate the log series),
+    which is kept as a test oracle.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
     if k == 0:
         return STPoly()
-    t, s = STPoly.var_t(), STPoly.var_s()
-    acc = t * p_poly(k - 1)
-    if k >= 2:
-        acc = acc + 2 * (s * p_poly(k - 2))
-    return acc * Fraction(1, k)
+    return STPoly({
+        (k - 2 * j, j): Fraction((1 if (k - j) % 2 else -1) * binomial(k - j, j), k - j)
+        for j in range(k // 2 + 1)
+    })

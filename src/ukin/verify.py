@@ -13,7 +13,7 @@ they validate.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 from typing import NamedTuple
 
 from .areabasis import (
@@ -66,15 +66,22 @@ def _zero_check(name: str, element: AreaDualElement) -> CheckResult:
 # Identities of the s,t polynomial families and unit-ball values
 # ---------------------------------------------------------------------------
 
+def _coefficients(poly: STPoly) -> dict[tuple[int, int, int], Rational]:
+    # The rational coefficients of poly by (t-exponent, s-exponent, pi-exponent).
+    return {(a, b, e): c for (a, b), coeff in poly.terms() for e, c in coeff.terms()}
+
+
 def check_fpq_relation(k: int) -> bool:
-    """Exact check of -(4s - t^2) q_{k-1} + t p_k == (k+1)^2 f_{k+1}."""
+    """Exact check of -(4s - t^2) q_{k-1} + t p_k == (k+1)^2 f_{k+1}, on coefficient dicts."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    t, s = STPoly.var_t(), STPoly.var_s()
-    u = 4 * s - t * t
-    lhs = -(u * q_poly(k - 1)) + t * p_poly(k)
-    rhs = (k + 1) ** 2 * fu_poly(k + 1)
-    return lhs == rhs
+    lhs: dict[tuple[int, int, int], Rational] = {}
+    add_terms(lhs, (((a + 1, b, e), c) for (a, b, e), c in _coefficients(p_poly(k)).items()))
+    q = _coefficients(q_poly(k - 1)).items()
+    add_terms(lhs, (((a, b + 1, e), -4 * c) for (a, b, e), c in q))
+    add_terms(lhs, (((a + 2, b, e), c) for (a, b, e), c in q))
+    square = (k + 1) ** 2
+    return lhs == {key: square * c for key, c in _coefficients(fu_poly(k + 1)).items()}
 
 
 def tsu_ball_value(n: int, i: int, j: int) -> Rational:
@@ -308,22 +315,35 @@ MAX_TSU_N = 8
 MAX_RECURRENCE_N = 15
 
 
-def _p_coefficients(upto: int) -> list[dict[tuple[int, int], int]]:
-    # Integer coefficients of p_0..p_upto by (t-exponent, s-exponent), through
-    # the geometric-series recurrence p_k = -t p_{k-1} - s p_{k-2}.
-    out = [{(0, 0): 1}]
+# The series below are homogeneous: term k of each is a list c with c[b] the
+# coefficient of t^(k-2b) s^b.
+
+def _series_poly(k: int, coeffs: list) -> STPoly:
+    return STPoly({(k - 2 * b, b): c for b, c in enumerate(coeffs) if c})
+
+
+def _add_shifted(into: list[int], coeffs: list[int], shift: int, weight: int = 1) -> None:
+    # into += weight * s^shift * coeffs, in the list form above.
+    for b, c in enumerate(coeffs):
+        into[b + shift] += weight * c
+
+
+def _p_coefficients(upto: int) -> list[list[int]]:
+    # Integer coefficients of p_0..p_upto through the geometric-series
+    # recurrence p_k = -t p_{k-1} - s p_{k-2}.
+    out = [[1]]
     for k in range(1, upto + 1):
-        terms: dict[tuple[int, int], int] = {}
-        add_terms(terms, (((a + 1, b), -c) for (a, b), c in out[k - 1].items()))
+        terms = [0] * (k // 2 + 1)
+        _add_shifted(terms, out[k - 1], 0, -1)
         if k >= 2:
-            add_terms(terms, (((a, b + 1), -c) for (a, b), c in out[k - 2].items()))
+            _add_shifted(terms, out[k - 2], 1, -1)
         out.append(terms)
     return out[: upto + 1]
 
 
 def p_series(upto: int) -> list[STPoly]:
     """p_0..p_upto through the geometric-series recurrence p_k = -t p_{k-1} - s p_{k-2}."""
-    return [STPoly(terms) for terms in _p_coefficients(upto)]
+    return [_series_poly(k, terms) for k, terms in enumerate(_p_coefficients(upto))]
 
 
 def q_series(upto: int) -> list[STPoly]:
@@ -331,32 +351,35 @@ def q_series(upto: int) -> list[STPoly]:
     ps = _p_coefficients(upto)
     out = []
     for k in range(upto + 1):
-        terms: dict[tuple[int, int], int] = {}
+        terms = [0] * (k // 2 + 1)
         for i in range(k + 1):
-            add_terms(terms, (((a1 + a2, b1 + b2), -c1 * c2)
-                              for (a1, b1), c1 in ps[i].items() for (a2, b2), c2 in ps[k - i].items()))
-        out.append(STPoly(terms))
+            for shift, c in enumerate(ps[i]):
+                _add_shifted(terms, ps[k - i], shift, -c)
+        out.append(_series_poly(k, terms))
     return out
 
 
 def f_series(upto: int) -> list[STPoly]:
-    """f_0..f_upto by expanding log(1 + u) with u = t x + s x^2 directly."""
-    t, s = STPoly.var_t(), STPoly.var_s()
-    # Coefficients of x^k in u^m, accumulated with alternating 1/m weights.
-    out = [STPoly() for _ in range(upto + 1)]
-    power: dict[int, STPoly] = {0: STPoly.constant(1)}  # u^0
+    """f_0..f_upto by expanding log(1 + u) with u = t x + s x^2 directly.
+
+    The coefficient of x^d in u^m is built by multiplying by u once per m,
+    and the alternating 1/m weights are summed as integers over the common
+    denominator lcm(1..upto).
+    """
+    common = lcm(*range(1, upto + 1))
+    sums = [[0] * (d // 2 + 1) for d in range(upto + 1)]
+    power = {0: [1]}  # u^0, by power of x
     for m in range(1, upto + 1):
-        nxt: dict[int, STPoly] = {}
-        for deg, coeff in power.items():
-            for shift, factor in ((1, t), (2, s)):
-                if deg + shift > upto:
-                    continue
-                nxt[deg + shift] = nxt.get(deg + shift, STPoly()) + coeff * factor
+        nxt: dict[int, list[int]] = {}
+        for d, coeffs in power.items():
+            for shift in (0, 1):  # times t x, times s x^2
+                if d + 1 + shift <= upto:
+                    _add_shifted(nxt.setdefault(d + 1 + shift, [0] * ((d + 1 + shift) // 2 + 1)), coeffs, shift)
         power = nxt
-        weight = Fraction(1 if m % 2 else -1, m)
-        for deg, coeff in power.items():
-            out[deg] = out[deg] + coeff * weight
-    return out
+        weight = common // m if m % 2 else -(common // m)
+        for d, coeffs in power.items():
+            _add_shifted(sums[d], coeffs, 0, weight)
+    return [_series_poly(d, [Fraction(c, common) for c in terms]) for d, terms in enumerate(sums)]
 
 
 def _ball_values_check(n: int) -> CheckResult:

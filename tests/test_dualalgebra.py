@@ -1,5 +1,6 @@
 """The dual algebra engine: generators, raising rules, canonical forms, products."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -358,19 +359,23 @@ class TestIntegerDegreeSystems:
     def test_image_matrix_is_generator_images_rescaled(self, n):
         # Column (b, on_v) of degree r is tbar^a sbar^b applied to the unit or
         # to vbar; mul_tbar and mul_sbar give it in X* coordinates, as does the
-        # reference chain of one-step rules, and the integer matrix over its
-        # denominator is that times pi^floor(r/2).
+        # reference chain of one-step rules.  The matrix holds it as a
+        # primitive, nonzero integer column, and each entry times its column's
+        # scale is that image times pi^floor(r/2).
         for degree in range(2 * n):
-            rows, cols, matrix, denominator = dualalgebra._degree_system(n, degree)
+            rows, cols, matrix, scales = dualalgebra._degree_system(n, degree)
             _, _, reference = _piscalar_degree_system(n, degree)
+            assert len(scales) == len(cols) and all(scale > 0 for scale in scales)
             for j, (b, on_v) in enumerate(cols):
+                column = [row[j] for row in matrix]
+                assert any(column) and math.gcd(*column) == 1, (n, degree, b, on_v)
                 image = vbar(n) if on_v else unit(n)
                 for _ in range(degree - on_v - 2 * b):
                     image = mul_tbar(image)
                 for _ in range(b):
                     image = mul_sbar(image)
                 for i, idx in enumerate(rows):
-                    scaled = PiScalar(Fraction(matrix[i][j], denominator), -(degree // 2))
+                    scaled = PiScalar(matrix[i][j] * scales[j], -(degree // 2))
                     assert scaled == image.coefficient(idx) == reference[i][j], (n, degree, idx, b, on_v)
 
     def test_bareiss_matches_reference_on_rank_deficient_systems(self):

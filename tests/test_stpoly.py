@@ -123,6 +123,15 @@ class TestFamilies:
     def test_f0_zero(self):
         assert not fu_poly(0)
 
+    def test_f_matches_derivative_recurrence(self):
+        # The definition fu_poly had before its closed form: k f_k = t p_{k-1} + 2 s p_{k-2}.
+        t, s = STPoly.var_t(), STPoly.var_s()
+        for k in range(1, 42):
+            rhs = t * p_poly(k - 1)
+            if k >= 2:
+                rhs = rhs + 2 * (s * p_poly(k - 2))
+            assert k * fu_poly(k) == rhs, f"f_{k}"
+
     def test_closed_forms_match_series(self):
         for k in range(SERIES_ORDER + 1):
             assert _as_plain(p_poly(k)) == P_SERIES[k], f"p_{k}"

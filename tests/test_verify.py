@@ -7,6 +7,7 @@ from ukin.areabasis import AreaIndex, Family
 from ukin.cli import main
 from ukin.dualalgebra import AreaDualElement
 from ukin.exactnum import PI
+from ukin.stpoly import STPoly
 
 ASSOCIATIVITY = "associativity (ab)c = a(bc) on basis triples"
 PI_GRADING = "pi-grading of basis-pair products"
@@ -67,11 +68,40 @@ def test_delta_n_route_fails_on_changed_coefficient(monkeypatch):
     assert not check.passed and check.detail == "Delta:2,0 * N:1,0"
 
 
+FPQ_SWEEP = f"-(4s-t^2) q_(k-1) + t p_k = (k+1)^2 f_(k+1) (k <= {verify.MAX_FPQ_K})"
+
+
+@pytest.mark.parametrize("change", [1, PI], ids=["rational", "pi"])
+def test_fpq_sweep_fails_on_changed_q_coefficient(monkeypatch, change):
+    # The t^7 coefficient of q_7, moved by 1 or by pi; only the relation at k = 8 reads q_7.
+    real = verify.q_poly
+
+    def patched(k):
+        poly = real(k)
+        return poly + STPoly.monomial(7, 0, change) if k == 7 else poly
+
+    monkeypatch.setattr(verify, "q_poly", patched)
+    checks = {check.name: check for check in verify.identities_suite(4)}
+    assert not checks[FPQ_SWEEP].passed and checks[FPQ_SWEEP].detail == "k=8"
+
+
 # Every cache that holds a value derived from the raising rules, taken before
 # any test patches a name.
 RULE_CACHES = tuple(getattr(dualalgebra, name) for name in (
-    "_tbar_rule", "_sbar_rule", "_rational_image", "_degree_system", "_basis_canonical",
-    "_dn_product"))
+    "_tbar_rule", "_sbar_rule", "_integer_image", "_rational_image", "_degree_system",
+    "_basis_canonical", "_dn_product"))
+
+# The caches of dualalgebra whose values do not depend on the raising rules.
+RULE_INDEPENDENT_CACHES = ("unit", "tbar", "sbar", "vbar", "_edge_ratio", "_degree_columns")
+
+
+def test_every_dualalgebra_cache_is_classified():
+    # A new cache of a rule-derived value must join RULE_CACHES, or a patched
+    # rule would not reach it and test_changed_rule_coefficient_fails_verify
+    # would pass on stale values.
+    caches = {name for name, value in vars(dualalgebra).items()
+              if hasattr(value, "cache_clear") and value.__module__ == dualalgebra.__name__}
+    assert caches == {cached.__name__ for cached in RULE_CACHES} | set(RULE_INDEPENDENT_CACHES)
 
 
 def _clear_rule_caches():
