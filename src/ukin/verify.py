@@ -373,8 +373,9 @@ def f_series(upto: int) -> list[STPoly]:
         nxt: dict[int, list[int]] = {}
         for d, coeffs in power.items():
             for shift in (0, 1):  # times t x, times s x^2
-                if d + 1 + shift <= upto:
-                    _add_shifted(nxt.setdefault(d + 1 + shift, [0] * ((d + 1 + shift) // 2 + 1)), coeffs, shift)
+                degree = d + 1 + shift
+                if degree <= upto:
+                    _add_shifted(nxt.setdefault(degree, [0] * (degree // 2 + 1)), coeffs, shift)
         power = nxt
         weight = common // m if m % 2 else -(common // m)
         for d, coeffs in power.items():
