@@ -161,7 +161,7 @@ def _write_stdout(document: str) -> None:
 
 
 def _write_document(document: str, out_path: str | None) -> None:
-    if not out_path:
+    if out_path is None:
         with _standard_stream("stdout"):
             _write_stdout(document)
         return
@@ -229,6 +229,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
+    if getattr(args, "out", None) == "":
+        # An empty path is not stdout: the user asked for a file.
+        return _usage_error("--out needs a file path, got an empty one")
 
     try:
         if args.verb == "identities":

@@ -1,8 +1,10 @@
 """The dual algebra of unitary area measures.
 
 Elements are finite linear combinations of the dual Delta*/N* basis with
-PiScalar coefficients.  The algebra is generated by three distinguished
-elements
+PiScalar coefficients: AreaDualElement is the exactnum.Combination keyed by
+Delta/N index, which adds its ambient dimension n (elements of different n
+never add or compare equal), index validation and rendering.  The algebra is
+generated by three distinguished elements
 
     tbar = 2 omega_{2n-2}/omega_{2n-1} * Delta*_{1,0}   (degree 1),
     sbar = n/pi * Delta*_{2,1}                          (degree 2),
@@ -69,6 +71,7 @@ from .areabasis import (
 )
 from .exactnum import (
     ZERO,
+    Combination,
     PiScalar,
     add_terms,
     as_piscalar,
@@ -89,66 +92,51 @@ class InconsistentSystemError(RuntimeError):
     """
 
 
-class AreaDualElement:
+class AreaDualElement(Combination):
     """Element of the dual algebra in Delta*/N* coordinates.
 
-    Immutable; coordinates map valid Delta/N indices to nonzero PiScalar
-    coefficients.  Equality is coefficient-wise.
+    A combination of valid Delta/N indices with PiScalar coefficients, in
+    ambient dimension n.  Elements of different n never add (ValueError) and
+    never compare equal.
     """
 
-    __slots__ = ("n", "_coords")
+    __slots__ = ("n",)
+    _checks_operands = True
 
     def __init__(self, n: int, coords: Mapping[AreaIndex, ScalarLike] | Iterable[tuple[AreaIndex, ScalarLike]] = ()):
         if isinstance(coords, Mapping):
             coords = coords.items()
         self.n = n
-        self._coords = add_terms({}, ((_require_dual(n, idx), as_piscalar(coeff)) for idx, coeff in coords))
+        self._terms = add_terms({}, ((_require_dual(n, idx), as_piscalar(coeff)) for idx, coeff in coords))
+
+    def _operand(self, other: object) -> "AreaDualElement | None":
+        if not isinstance(other, AreaDualElement):
+            return None
+        if self.n != other.n:
+            raise ValueError(f"mixed ambient dimensions: {self.n} vs {other.n}")
+        return other
+
+    def _like(self, terms: dict[AreaIndex, PiScalar]) -> "AreaDualElement":
+        return _wrap(self.n, terms)
 
     # -- inspection -----------------------------------------------------------
 
     def items(self) -> tuple[tuple[AreaIndex, PiScalar], ...]:
-        return tuple(sorted(self._coords.items(), key=lambda kv: kv[0].sort_key))
+        return tuple(sorted(self._terms.items(), key=lambda kv: kv[0].sort_key))
 
     def coefficient(self, index: AreaIndex) -> PiScalar:
-        return self._coords.get(index, ZERO)
-
-    def degrees(self) -> list[int]:
-        return sorted({idx.k for idx in self._coords})
-
-    def homogeneous_part(self, degree: int) -> "AreaDualElement":
-        return _wrap(self.n, {idx: c for idx, c in self._coords.items() if idx.k == degree})
+        return self._terms.get(index, ZERO)
 
     def is_zero(self) -> bool:
-        return not self._coords
-
-    def __bool__(self) -> bool:
-        return bool(self._coords)
+        return not self._terms
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, AreaDualElement):
-            return self.n == other.n and self._coords == other._coords
+            return self.n == other.n and self._terms == other._terms
         return NotImplemented
 
-    # -- linear structure ------------------------------------------------------
-
-    def __add__(self, other: "AreaDualElement") -> "AreaDualElement":
-        if not isinstance(other, AreaDualElement):
-            return NotImplemented
-        if self.n != other.n:
-            raise ValueError(f"mixed ambient dimensions: {self.n} vs {other.n}")
-        return _wrap(self.n, add_terms(dict(self._coords), other._coords.items()))
-
-    def __neg__(self) -> "AreaDualElement":
-        return _wrap(self.n, {idx: -c for idx, c in self._coords.items()})
-
-    def __sub__(self, other: "AreaDualElement") -> "AreaDualElement":
-        if not isinstance(other, AreaDualElement):
-            return NotImplemented
-        return self + (-other)
-
     def __mul__(self, scalar: ScalarLike) -> "AreaDualElement":
-        coeff = as_piscalar(scalar)
-        return _wrap(self.n, {idx: c * coeff for idx, c in self._coords.items()} if coeff else {})
+        return self._scaled(as_piscalar(scalar))
 
     __rmul__ = __mul__
 
@@ -157,18 +145,15 @@ class AreaDualElement:
     def text(self) -> str:
         return join_signed(_term_text(idx, coeff) for idx, coeff in self.items())
 
-    def __str__(self) -> str:
-        return self.text()
-
     def __repr__(self) -> str:
         return f"AreaDualElement(n={self.n}, {self.text()!r})"
 
 
-def _wrap(n: int, coords: dict[AreaIndex, PiScalar]) -> AreaDualElement:
+def _wrap(n: int, terms: dict[AreaIndex, PiScalar]) -> AreaDualElement:
     # An element over coordinates that are already valid, PiScalar and nonzero.
     out = AreaDualElement.__new__(AreaDualElement)
     out.n = n
-    out._coords = coords
+    out._terms = terms
     return out
 
 
@@ -373,7 +358,7 @@ def _apply(n: int, terms: Iterable[tuple[tuple[int, int], AreaIndex, PiScalar]])
 def eval_poly(p: STPoly, x: AreaDualElement) -> AreaDualElement:
     """Apply the operator polynomial p(sbar, tbar) to x."""
     return _apply(x.n, ((mono, idx, coeff * x_coeff)
-                        for mono, coeff in p.terms() for idx, x_coeff in x._coords.items()))
+                        for mono, coeff in p.terms() for idx, x_coeff in x._terms.items()))
 
 
 def mul_tbar(x: AreaDualElement) -> AreaDualElement:
@@ -406,19 +391,6 @@ class CanonicalForm(NamedTuple):
 
 
 @lru_cache(maxsize=None)
-def _degree_columns(n: int, degree: int) -> tuple[tuple[int, bool], ...]:
-    # Column keys (s_exp, on_v), in ascending (s-exponent, v-flag) order; this
-    # is also the deterministic pivot-search order.
-    cols: list[tuple[int, bool]] = []
-    for b in range(degree // 2 + 1):
-        if degree - 2 * b >= 0:
-            cols.append((b, False))
-        if degree - 1 - 2 * b >= 0:
-            cols.append((b, True))
-    return tuple(cols)
-
-
-@lru_cache(maxsize=None)
 def _degree_system(n: int, degree: int):
     """Rows (basis indices of the degree), column keys, the image matrix and
     its column scales.
@@ -431,7 +403,10 @@ def _degree_system(n: int, degree: int):
     selected solution are those of the rational matrix.
     """
     rows = tuple(indices_of_degree(n, degree))
-    cols = _degree_columns(n, degree)
+    # Column keys (s_exp, on_v), in ascending (s-exponent, v-flag) order; this
+    # is also the deterministic pivot-search order.
+    cols = tuple((b, on_v) for b in range(degree // 2 + 1) for on_v in (False, True)
+                 if degree - on_v - 2 * b >= 0)
     columns, scales = [], []
     for b, on_v in cols:
         image, denominator = _integer_image(n, degree - on_v - 2 * b, b, _VBAR_SOURCE if on_v else _UNIT_SOURCE)

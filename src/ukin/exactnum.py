@@ -4,6 +4,12 @@ Every coefficient this package ever produces is a finite sum of terms
 (p/q) * pi^j with rational p/q and integer j.  pi is kept as a formal symbol,
 so all arithmetic happens in Q[pi, pi^-1] and results are reproducible bit
 for bit; no floating point enters anywhere.
+
+Combination is the one sparse linear combination of the package: the
+normalized term map with its sum, negation, difference, scaling, equality
+and printing.  PiScalar (terms keyed by pi-exponent), stpoly.STPoly (keyed
+by s,t-monomial) and dualalgebra.AreaDualElement (keyed by Delta/N index)
+are its kinds and add only their products and renderers.
 """
 
 from __future__ import annotations
@@ -63,14 +69,77 @@ def _as_fraction(value: RationalLike) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
 
 
-class PiScalar:
-    """Element of Q[pi, pi^-1]: a Laurent polynomial in a formal pi.
+class Combination:
+    """A finite linear combination: a sparse map from keys to coefficients.
 
-    Immutable and normalized: zero coefficients are never stored, so equality
-    is term-by-term comparison of the underlying mapping.
+    The one linear structure behind PiScalar, stpoly.STPoly and
+    dualalgebra.AreaDualElement.  Immutable and normalized: zero coefficients
+    are never stored, so equality is term-by-term comparison of the mapping.
+    A subclass supplies two hooks: _operand, which takes the other side of
+    +, - and == to a combination of its own kind (or None when it is
+    foreign), and _like, which wraps normalized terms as one of its own kind.
     """
 
     __slots__ = ("_terms",)
+
+    #: Whether _operand checks more than the class, so that __add__ may not
+    #: skip it for two instances of one class (AreaDualElement checks n).
+    _checks_operands = False
+
+    def _operand(self, other: object) -> "Combination | None":
+        return other if isinstance(other, self.__class__) else None
+
+    def _like(self, terms: dict) -> "Combination":
+        out = self.__class__.__new__(self.__class__)
+        out._terms = terms
+        return out
+
+    def _scaled(self, coeff) -> "Combination":
+        """Every coefficient times one coefficient of the same type."""
+        return self._like({key: c * coeff for key, c in self._terms.items()} if coeff else {})
+
+    def __bool__(self) -> bool:
+        return bool(self._terms)
+
+    def __eq__(self, other: object) -> bool:
+        other = self._operand(other)
+        return NotImplemented if other is None else self._terms == other._terms
+
+    def __add__(self, other):
+        if other.__class__ is not self.__class__ or self._checks_operands:
+            other = self._operand(other)
+            if other is None:
+                return NotImplemented
+        return self._like(add_terms(dict(self._terms), other._terms.items()))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._like({key: -c for key, c in self._terms.items()})
+
+    def __sub__(self, other):
+        other = self._operand(other)
+        return NotImplemented if other is None else self + (-other)
+
+    def __rsub__(self, other):
+        other = self._operand(other)
+        return NotImplemented if other is None else other + (-self)
+
+    def __str__(self) -> str:
+        return self.text()
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__name__}({self.text()!r})"
+
+
+class PiScalar(Combination):
+    """Element of Q[pi, pi^-1]: a Laurent polynomial in a formal pi.
+
+    A combination of pi-exponents with Fraction coefficients; an int or a
+    Fraction operand is the constant scalar.
+    """
+
+    __slots__ = ()
 
     def __init__(self, value: RationalLike = 0, pi_exp: int = 0):
         coeff = _as_fraction(value)
@@ -84,6 +153,13 @@ class PiScalar:
         out = cls.__new__(cls)
         out._terms = add_terms({}, ((exp, _as_fraction(coeff)) for exp, coeff in items))
         return out
+
+    def _operand(self, other: object) -> "PiScalar | None":
+        if isinstance(other, PiScalar):
+            return other
+        if isinstance(other, (int, Fraction)):
+            return PiScalar(other)
+        return None
 
     # -- inspection ---------------------------------------------------------
 
@@ -103,54 +179,14 @@ class PiScalar:
             raise NonMonomialDivisorError(f"not a monomial: {self}")
         return next(iter(self._terms.items()))
 
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, PiScalar):
-            return self._terms == other._terms
-        if isinstance(other, (int, Fraction)):
-            return self._terms == PiScalar(other)._terms
-        return NotImplemented
-
     # -- ring operations ----------------------------------------------------
-
-    def __add__(self, other: "PiScalar | RationalLike") -> "PiScalar":
-        if isinstance(other, (int, Fraction)):
-            other = PiScalar(other)
-        elif not isinstance(other, PiScalar):
-            return NotImplemented
-        out = PiScalar.__new__(PiScalar)
-        out._terms = add_terms(dict(self._terms), other._terms.items())
-        return out
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "PiScalar":
-        out = PiScalar.__new__(PiScalar)
-        out._terms = {exp: -coeff for exp, coeff in self._terms.items()}
-        return out
-
-    def __sub__(self, other: "PiScalar | RationalLike") -> "PiScalar":
-        if isinstance(other, (int, Fraction)):
-            other = PiScalar(other)
-        elif not isinstance(other, PiScalar):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other: RationalLike) -> "PiScalar":
-        return PiScalar(other) - self
 
     def __mul__(self, other: "PiScalar | RationalLike") -> "PiScalar":
         if isinstance(other, (int, Fraction)):
-            coeff = _as_fraction(other)
-            if not coeff:
-                return PiScalar()
-            out = PiScalar.__new__(PiScalar)
-            out._terms = {exp: c * coeff for exp, c in self._terms.items()}
-            return out
+            return self._scaled(_as_fraction(other))
         if not isinstance(other, PiScalar):
             return NotImplemented
+        # Built in place, not through _like: the table products run on this.
         out = PiScalar.__new__(PiScalar)
         out._terms = add_terms({}, ((e1 + e2, c1 * c2)
                                     for e1, c1 in self._terms.items()
@@ -168,16 +204,11 @@ class PiScalar:
         if not isinstance(divisor, PiScalar):
             divisor = PiScalar(divisor)
         exp, coeff = divisor.monomial()
-        out = PiScalar.__new__(PiScalar)
-        out._terms = {e - exp: c / coeff for e, c in self._terms.items()}
-        return out
+        return self._like({e - exp: c / coeff for e, c in self._terms.items()})
 
     def __truediv__(self, other: "PiScalar | RationalLike") -> "PiScalar":
-        if isinstance(other, (int, Fraction)):
-            other = PiScalar(other)
-        elif not isinstance(other, PiScalar):
-            return NotImplemented
-        return self.div_by_monomial(other)
+        other = self._operand(other)
+        return NotImplemented if other is None else self.div_by_monomial(other)
 
     # -- rendering ----------------------------------------------------------
 
@@ -196,12 +227,6 @@ class PiScalar:
                 for exp, coeff in self.terms()
             ]
         }
-
-    def __str__(self) -> str:
-        return self.text()
-
-    def __repr__(self) -> str:
-        return f"PiScalar({self.text()!r})"
 
 
 _ZERO_FRACTION = Fraction(0)

@@ -1,9 +1,11 @@
 """Polynomials in the commuting symbols s and t, plus the classical families.
 
 The symbol t has degree 1 and s has degree 2, so the monomial t^a s^b is
-homogeneous of degree a + 2b.  Coefficients are PiScalar so that pi-weighted
-polynomials (as produced by the dual-basis closed form) live in the same type
-as the purely rational families below.
+homogeneous of degree a + 2b.  STPoly is the exactnum.Combination keyed by
+(t, s) exponents, with PiScalar coefficients so that pi-weighted polynomials
+(as produced by the dual-basis closed form) live in the same type as the
+purely rational families below; it adds only the polynomial product and its
+renderers to the core's linear structure.
 
 The three families carried here are the Taylor coefficients of
 
@@ -25,6 +27,7 @@ from typing import Iterable, Mapping, Union
 
 from .exactnum import (
     ZERO,
+    Combination,
     PiScalar,
     add_terms,
     as_piscalar,
@@ -39,15 +42,15 @@ Monomial = tuple[int, int]
 ScalarLike = Union[PiScalar, int, Fraction]
 
 
-class STPoly:
-    """Sparse polynomial in s and t with PiScalar coefficients.
+class STPoly(Combination):
+    """Sparse polynomial in s and t: a combination of (t, s) exponents with
+    PiScalar coefficients.
 
-    Immutable; zero coefficients are never stored.  Terms print in ascending
-    total degree, ties broken by ascending s-exponent, which fixes a canonical
-    text form.
+    Terms print in ascending total degree, ties broken by ascending
+    s-exponent, which fixes a canonical text form.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
 
     def __init__(self, terms: Mapping[Monomial, ScalarLike] | Iterable[tuple[Monomial, ScalarLike]] = ()):
         if isinstance(terms, Mapping):
@@ -82,55 +85,16 @@ class STPoly:
     def coefficient(self, t_exp: int, s_exp: int) -> PiScalar:
         return self._terms.get((t_exp, s_exp), ZERO)
 
-    def degrees(self) -> set[int]:
-        """Set of total degrees a + 2b present in the support."""
-        return {a + 2 * b for a, b in self._terms}
-
-    def homogeneous_component(self, degree: int) -> "STPoly":
-        return STPoly({m: c for m, c in self._terms.items() if m[0] + 2 * m[1] == degree})
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, STPoly):
-            return self._terms == other._terms
-        return NotImplemented
-
     # -- arithmetic -----------------------------------------------------------
-
-    def __add__(self, other: "STPoly") -> "STPoly":
-        if not isinstance(other, STPoly):
-            return NotImplemented
-        out = STPoly.__new__(STPoly)
-        out._terms = add_terms(dict(self._terms), other._terms.items())
-        return out
-
-    def __neg__(self) -> "STPoly":
-        out = STPoly.__new__(STPoly)
-        out._terms = {m: -c for m, c in self._terms.items()}
-        return out
-
-    def __sub__(self, other: "STPoly") -> "STPoly":
-        if not isinstance(other, STPoly):
-            return NotImplemented
-        return self + (-other)
 
     def __mul__(self, other: "STPoly | ScalarLike") -> "STPoly":
         if isinstance(other, (int, Fraction, PiScalar)):
-            coeff = as_piscalar(other)
-            if not coeff:
-                return STPoly()
-            out = STPoly.__new__(STPoly)
-            out._terms = {m: c * coeff for m, c in self._terms.items()}
-            return out
+            return self._scaled(as_piscalar(other))
         if not isinstance(other, STPoly):
             return NotImplemented
-        out = STPoly.__new__(STPoly)
-        out._terms = add_terms({}, (((a1 + a2, b1 + b2), c1 * c2)
-                                    for (a1, b1), c1 in self._terms.items()
-                                    for (a2, b2), c2 in other._terms.items()))
-        return out
+        return self._like(add_terms({}, (((a1 + a2, b1 + b2), c1 * c2)
+                                         for (a1, b1), c1 in self._terms.items()
+                                         for (a2, b2), c2 in other._terms.items())))
 
     __rmul__ = __mul__
 
@@ -142,12 +106,6 @@ class STPoly:
 
     def latex(self) -> str:
         return join_signed(_term_latex(a, b, coeff) for (a, b), coeff in self.terms())
-
-    def __str__(self) -> str:
-        return self.text()
-
-    def __repr__(self) -> str:
-        return f"STPoly({self.text()!r})"
 
 
 def _vars_text(a: int, b: int) -> list[str]:

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import ukin
+from ukin import cli
 from ukin.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -34,6 +35,10 @@ def run_cli(*args: str):
         [sys.executable, "-m", "ukin", *args],
         capture_output=True, text=True, env=cli_env(),
     )
+
+
+def _never_called(*args, **kwargs):
+    raise AssertionError("a document was built")
 
 
 def test_harness_imports_package_under_test():
@@ -233,6 +238,22 @@ class TestExitCodes:
         result = run_cli("formula", "--n", "6", "--target", target)
         assert result.returncode == 2
         assert "malformed index" in result.stderr and "invalid index" not in result.stderr
+
+    @pytest.mark.parametrize("verb", [["table", "--n", "2"],
+                                      ["formula", "--n", "2", "--target", "Delta:1,0"],
+                                      ["census", "--n", "2"]], ids=["table", "formula", "census"])
+    def test_empty_out_is_usage_error(self, verb, monkeypatch, capsys):
+        # An empty --out names no file; it must not fall back to stdout.
+        result = run_cli(*verb, "--out", "")
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("ukin: error: --out ")
+        assert result.stderr.count("\n") == 1
+        # Rejected before any document is built.
+        for name in ("full_table", "local_formula", "_census_document"):
+            monkeypatch.setattr(cli, name, _never_called)
+        assert main([*verb, "--out", ""]) == 2
+        assert capsys.readouterr().out == ""
 
     def test_small_n_rejected(self):
         result = run_cli("table", "--n", "1")

@@ -1,12 +1,16 @@
-"""Exact scalar arithmetic: ring laws, ball volumes, rendering."""
+"""Exact scalar arithmetic: ring laws, ball volumes, rendering, and the
+linear-combination core shared with STPoly and AreaDualElement."""
 
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from ukin.areabasis import dual_basis_indices
+from ukin.dualalgebra import AreaDualElement
 from ukin.exactnum import (
     PI,
+    Combination,
     NonMonomialDivisorError,
     PiScalar,
     add_terms,
@@ -15,6 +19,7 @@ from ukin.exactnum import (
     join_signed,
     split_sign,
 )
+from ukin.stpoly import STPoly
 
 rationals = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=40)
@@ -184,3 +189,83 @@ class TestSharedHelpers:
         assert split_sign(x) == (-1, -x)
         assert split_sign(-x) == (1, -x)
         assert split_sign(PiScalar(3, 1)) == (1, PiScalar(3, 1))
+
+
+# The three kinds built on the Combination core, each as a strategy.
+KINDS = {
+    "PiScalar": scalars,
+    "STPoly": st.builds(STPoly, st.dictionaries(
+        st.tuples(st.integers(0, 3), st.integers(0, 3)), scalars, max_size=4)),
+    "AreaDualElement": st.builds(lambda coords: AreaDualElement(3, coords), st.dictionaries(
+        st.sampled_from(dual_basis_indices(3)), scalars, max_size=4)),
+}
+
+# A coefficient of each kind's terms, for scaling.
+COEFFICIENTS = {"PiScalar": rationals, "STPoly": scalars, "AreaDualElement": scalars}
+
+# One nonzero element of each kind.
+SAMPLES = {
+    "PiScalar": PiScalar(Fraction(-2, 3), -1) + PI,
+    "STPoly": STPoly({(1, 0): PI, (0, 1): Fraction(1, 2)}),
+    "AreaDualElement": AreaDualElement(3, {idx: PiScalar(1, idx.k) for idx in dual_basis_indices(3)[:3]}),
+}
+
+
+def _normalized(x) -> bool:
+    return all(x._terms.values())
+
+
+class TestCombinationCore:
+    """The contract every kind inherits from exactnum.Combination."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @settings(max_examples=50)
+    @given(data=st.data())
+    def test_negation_and_subtraction(self, kind, data):
+        x, y = data.draw(KINDS[kind]), data.draw(KINDS[kind])
+        zero = x + (-x)
+        assert not zero and zero._terms == {} and zero == y * 0
+        assert x - y == x + (-y)
+        assert x - x == zero and -(-x) == x
+        assert all(_normalized(z) for z in (x, -x, x + y, x - y))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @settings(max_examples=50)
+    @given(data=st.data())
+    def test_scaling(self, kind, data):
+        x, coeff = data.draw(KINDS[kind]), data.draw(COEFFICIENTS[kind])
+        for nought in (0, Fraction(0), coeff * 0):
+            assert not x * nought and (x * nought)._terms == {}
+        scaled = x * coeff
+        assert _normalized(scaled)
+        assert bool(scaled) == bool(x and coeff)
+        assert coeff * x == scaled
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_foreign_operand_raises_type_error(self, kind):
+        x = SAMPLES[kind]
+        foreign = [1.5, "x", object()] + [SAMPLES[other] for other in KINDS if other != kind]
+        if kind != "PiScalar":
+            foreign.append(1)
+        for other in foreign:
+            for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: b + a, lambda a, b: b - a):
+                with pytest.raises(TypeError):
+                    op(x, other)
+            assert x != other
+
+    def test_dual_elements_of_different_n_never_mix(self):
+        indices = dual_basis_indices(2)
+        x = AreaDualElement(2, {indices[0]: 1})
+        y = AreaDualElement(3, {indices[0]: 1})
+        for op in (lambda a, b: a + b, lambda a, b: a - b):
+            with pytest.raises(ValueError, match="mixed ambient dimensions"):
+                op(x, y)
+        assert x != y and AreaDualElement(2) != AreaDualElement(3)
+        assert x == AreaDualElement(2, {indices[0]: 1})
+
+    @pytest.mark.parametrize("cls", [PiScalar, STPoly, AreaDualElement])
+    def test_only_the_core_defines_the_linear_structure(self, cls):
+        assert issubclass(cls, Combination)
+        for name in ("__bool__", "__neg__", "__sub__", "__str__"):
+            assert name not in vars(cls), (cls.__name__, name)
+            assert getattr(cls, name) is getattr(Combination, name)

@@ -256,10 +256,9 @@ class TestRenderingAndArithmetic:
             " + \\frac{1}{\\pi}st"
             " - \\left(\\frac{2}{3\\pi} - 5\\pi^{2}\\right)s^{2}")
 
-    def test_homogeneous_components(self):
-        poly = p_poly(4)
-        assert poly.homogeneous_component(4) == poly
-        assert not poly.homogeneous_component(3)
-
     def test_grading(self):
-        assert STPoly.monomial(3, 2).degrees() == {7}
+        # t has degree 1 and s degree 2: terms come in ascending a + 2b, ties
+        # by ascending s-exponent.
+        poly = STPoly({(3, 2): 1, (0, 3): 1, (6, 0): 1, (5, 0): 1, (4, 1): 1})
+        assert [mono for mono, _ in poly.terms()] == [(5, 0), (6, 0), (4, 1), (0, 3), (3, 2)]
+        assert poly.text() == "t^5 + t^6 + s*t^4 + s^3 + s^2*t^3"

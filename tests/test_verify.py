@@ -92,7 +92,7 @@ RULE_CACHES = tuple(getattr(dualalgebra, name) for name in (
     "_basis_canonical", "_dn_product"))
 
 # The caches of dualalgebra whose values do not depend on the raising rules.
-RULE_INDEPENDENT_CACHES = ("unit", "tbar", "sbar", "vbar", "_edge_ratio", "_degree_columns")
+RULE_INDEPENDENT_CACHES = ("unit", "tbar", "sbar", "vbar", "_edge_ratio")
 
 
 def test_every_dualalgebra_cache_is_classified():
