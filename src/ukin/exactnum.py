@@ -72,12 +72,11 @@ def _as_fraction(value: RationalLike) -> Fraction:
 class Combination:
     """A finite linear combination: a sparse map from keys to coefficients.
 
-    The one linear structure behind PiScalar, stpoly.STPoly and
-    dualalgebra.AreaDualElement.  Immutable and normalized: zero coefficients
-    are never stored, so equality is term-by-term comparison of the mapping.
-    A subclass supplies two hooks: _operand, which takes the other side of
-    +, - and == to a combination of its own kind (or None when it is
-    foreign), and _like, which wraps normalized terms as one of its own kind.
+    Immutable and normalized: zero coefficients are never stored, so equality
+    is term-by-term comparison of the mapping.  A subclass supplies two
+    hooks: _operand, which takes the other side of +, - and == to a
+    combination of its own kind (or None when it is foreign), and _like,
+    which wraps normalized terms as one of its own kind.
     """
 
     __slots__ = ("_terms",)
