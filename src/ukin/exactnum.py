@@ -104,7 +104,7 @@ class Combination:
         other = self._operand(other)
         return NotImplemented if other is None else self._terms == other._terms
 
-    def __add__(self, other):
+    def __add__(self, other: object) -> "Combination":
         if other.__class__ is not self.__class__ or self._checks_operands:
             other = self._operand(other)
             if other is None:
@@ -113,14 +113,14 @@ class Combination:
 
     __radd__ = __add__
 
-    def __neg__(self):
+    def __neg__(self) -> "Combination":
         return self._like({key: -c for key, c in self._terms.items()})
 
-    def __sub__(self, other):
+    def __sub__(self, other: object) -> "Combination":
         other = self._operand(other)
         return NotImplemented if other is None else self + (-other)
 
-    def __rsub__(self, other):
+    def __rsub__(self, other: object) -> "Combination":
         other = self._operand(other)
         return NotImplemented if other is None else other + (-self)
 
