@@ -127,9 +127,6 @@ class AreaDualElement(Combination):
     def coefficient(self, index: AreaIndex) -> PiScalar:
         return self._terms.get(index, ZERO)
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, AreaDualElement):
             return self.n == other.n and self._terms == other._terms

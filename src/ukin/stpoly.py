@@ -14,7 +14,9 @@ The three families carried here are the Taylor coefficients of
     -1 / (1 + t x + s x^2)^2  -> q_k,
 
 the polynomials in the relations of the dual algebra; each is a binomial
-closed form over its s-exponent.  The identities that check
+closed form over its s-exponent, given as a rational coefficient list
+(p_coefficients, q_coefficients, fu_coefficients) that p_poly, q_poly and
+fu_poly wrap as polynomials.  The identities that check
 them and the dual-basis closed form (the f/p/q relation, unit-ball values of
 t,s,u monomials, a binomial identity and its telescoping certificate) live
 in ukin.verify.
@@ -149,8 +151,16 @@ def _term_latex(a: int, b: int, coeff: PiScalar) -> tuple[int, str]:
 # Polynomial families
 # ---------------------------------------------------------------------------
 
-def p_poly(k: int) -> STPoly:
-    """Coefficient of x^k in 1 / (1 + t x + s x^2).
+# Each family member of degree k is read as a coefficient list c, with c[i]
+# the coefficient of t^(k-2i) s^i for i = 0..floor(k/2); the checks in
+# ukin.verify compare these lists, and p_poly, q_poly and fu_poly wrap them.
+
+def _homogeneous(k: int, coeffs: list) -> STPoly:
+    return STPoly({(k - 2 * i, i): c for i, c in enumerate(coeffs)})
+
+
+def p_coefficients(k: int) -> list[int]:
+    """Coefficient list of p_k, the coefficient of x^k in 1 / (1 + t x + s x^2).
 
     Closed form: p_k = (-1)^k * sum_i (-1)^i C(k-i, i) s^i t^(k-2i).  The
     geometric-series recurrence p_k = -t p_{k-1} - s p_{k-2} produces the
@@ -159,14 +169,11 @@ def p_poly(k: int) -> STPoly:
     if k < 0:
         raise ValueError("k must be nonnegative")
     sign = -1 if k % 2 else 1
-    return STPoly({
-        (k - 2 * i, i): Fraction(sign * (-1 if i % 2 else 1) * binomial(k - i, i))
-        for i in range(k // 2 + 1)
-    })
+    return [sign * (-1 if i % 2 else 1) * binomial(k - i, i) for i in range(k // 2 + 1)]
 
 
-def q_poly(k: int) -> STPoly:
-    """Coefficient of x^k in -1 / (1 + t x + s x^2)^2.
+def q_coefficients(k: int) -> list[int]:
+    """Coefficient list of q_k, the coefficient of x^k in -1 / (1 + t x + s x^2)^2.
 
     Closed form: q_k = (-1)^(k+1) * sum_i (-1)^i (i+1) C(k+1-i, i+1) s^i t^(k-2i);
     equals minus the Cauchy square of the p-series.
@@ -174,14 +181,11 @@ def q_poly(k: int) -> STPoly:
     if k < 0:
         raise ValueError("k must be nonnegative")
     sign = 1 if k % 2 else -1
-    return STPoly({
-        (k - 2 * i, i): Fraction(sign * (-1 if i % 2 else 1) * (i + 1) * binomial(k + 1 - i, i + 1))
-        for i in range(k // 2 + 1)
-    })
+    return [sign * (-1 if i % 2 else 1) * (i + 1) * binomial(k + 1 - i, i + 1) for i in range(k // 2 + 1)]
 
 
-def fu_poly(k: int) -> STPoly:
-    """Coefficient of x^k in log(1 + t x + s x^2).
+def fu_coefficients(k: int) -> list[Fraction]:
+    """Coefficient list of f_k, the coefficient of x^k in log(1 + t x + s x^2).
 
     Closed form: f_k = sum_j (-1)^(k-j+1) C(k-j, j)/(k-j) s^j t^(k-2j), the
     x^k terms of sum_m (-1)^(m+1) (t x + s x^2)^m / m at m = k - j; f_0 = 0.
@@ -191,8 +195,20 @@ def fu_poly(k: int) -> STPoly:
     if k < 0:
         raise ValueError("k must be nonnegative")
     if k == 0:
-        return STPoly()
-    return STPoly({
-        (k - 2 * j, j): Fraction((1 if (k - j) % 2 else -1) * binomial(k - j, j), k - j)
-        for j in range(k // 2 + 1)
-    })
+        return [Fraction(0)]
+    return [Fraction((1 if (k - j) % 2 else -1) * binomial(k - j, j), k - j) for j in range(k // 2 + 1)]
+
+
+def p_poly(k: int) -> STPoly:
+    """p_k as a polynomial: the closed form of p_coefficients."""
+    return _homogeneous(k, p_coefficients(k))
+
+
+def q_poly(k: int) -> STPoly:
+    """q_k as a polynomial: the closed form of q_coefficients."""
+    return _homogeneous(k, q_coefficients(k))
+
+
+def fu_poly(k: int) -> STPoly:
+    """f_k as a polynomial: the closed form of fu_coefficients."""
+    return _homogeneous(k, fu_coefficients(k))

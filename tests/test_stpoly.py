@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from ukin.exactnum import PiScalar
-from ukin.stpoly import STPoly, fu_poly, p_poly, q_poly
+from ukin.stpoly import STPoly, fu_coefficients, fu_poly, p_coefficients, p_poly, q_coefficients, q_poly
 from ukin.verify import (
     check_fpq_relation,
     combinat_identity,
@@ -137,6 +137,16 @@ class TestFamilies:
             assert _as_plain(p_poly(k)) == P_SERIES[k], f"p_{k}"
             assert _as_plain(q_poly(k)) == Q_SERIES[k], f"q_{k}"
             assert _as_plain(fu_poly(k)) == F_SERIES[k], f"f_{k}"
+
+    @pytest.mark.parametrize("poly, coefficients", [(p_poly, p_coefficients), (q_poly, q_coefficients),
+                                                    (fu_poly, fu_coefficients)],
+                             ids=["p", "q", "f"])
+    def test_polys_wrap_the_coefficient_lists(self, poly, coefficients):
+        # The verify sweeps read the lists; the public polynomials must be those lists.
+        for k in range(42):
+            coeffs = coefficients(k)
+            assert len(coeffs) == k // 2 + 1, k
+            assert poly(k) == STPoly({(k - 2 * i, i): c for i, c in enumerate(coeffs)}), k
 
     def test_q_is_cauchy_square_of_p(self):
         for k in range(SERIES_ORDER + 1):

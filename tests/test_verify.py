@@ -1,5 +1,7 @@
 """The structure-constant checks of `verify --suite algebra` and that each one catches a fault."""
 
+from fractions import Fraction
+
 import pytest
 
 from ukin import dualalgebra, verify
@@ -7,7 +9,6 @@ from ukin.areabasis import AreaIndex, Family
 from ukin.cli import main
 from ukin.dualalgebra import AreaDualElement
 from ukin.exactnum import PI
-from ukin.stpoly import STPoly
 
 ASSOCIATIVITY = "associativity (ab)c = a(bc) on basis triples"
 PI_GRADING = "pi-grading of basis-pair products"
@@ -74,15 +75,98 @@ FPQ_SWEEP = f"-(4s-t^2) q_(k-1) + t p_k = (k+1)^2 f_(k+1) (k <= {verify.MAX_FPQ_
 @pytest.mark.parametrize("change", [1, PI], ids=["rational", "pi"])
 def test_fpq_sweep_fails_on_changed_q_coefficient(monkeypatch, change):
     # The t^7 coefficient of q_7, moved by 1 or by pi; only the relation at k = 8 reads q_7.
-    real = verify.q_poly
+    real = verify.q_coefficients
 
     def patched(k):
-        poly = real(k)
-        return poly + STPoly.monomial(7, 0, change) if k == 7 else poly
+        coeffs = real(k)
+        return [coeffs[0] + change, *coeffs[1:]] if k == 7 else coeffs
 
-    monkeypatch.setattr(verify, "q_poly", patched)
+    monkeypatch.setattr(verify, "q_coefficients", patched)
     checks = {check.name: check for check in verify.identities_suite(4)}
     assert not checks[FPQ_SWEEP].passed and checks[FPQ_SWEEP].detail == "k=8"
+
+
+SERIES_SWEEP = f"closed forms match series expansions (k <= {verify.MAX_SERIES_K})"
+
+
+@pytest.mark.parametrize("reader, label", [("p_coefficients", "p_5"), ("q_coefficients", "q_5"),
+                                           ("fu_coefficients", "f_5")])
+def test_series_sweep_fails_on_changed_closed_form(monkeypatch, reader, label):
+    # The s^1 coefficient of the degree-5 closed form, moved by 1/2.
+    real = getattr(verify, reader)
+
+    def patched(k):
+        coeffs = real(k)
+        return [coeffs[0], coeffs[1] + Fraction(1, 2), *coeffs[2:]] if k == 5 else coeffs
+
+    monkeypatch.setattr(verify, reader, patched)
+    checks = {check.name: check for check in verify.identities_suite(4)}
+    assert not checks[SERIES_SWEEP].passed and checks[SERIES_SWEEP].detail == label
+
+
+WZ_SWEEP = f"telescoping certificate termwise (r <= {verify.MAX_WZ_R})"
+
+
+def test_wz_sweep_fails_on_changed_term(monkeypatch):
+    # One summand F(m=3, i=2) at r = 6, moved by 1: the certificate at (6, 3, 2) reads it.
+    real = verify._combinat_term
+    assert verify.wz_certificate_check(6, 3, 2)
+    monkeypatch.setattr(verify, "_combinat_term", lambda r, m, i: real(r, m, i) + ((r, m, i) == (6, 3, 2)))
+    checks = {check.name: check for check in verify.identities_suite(4)}
+    assert not checks[WZ_SWEEP].passed and "(r=6, m=3, i=2)" in checks[WZ_SWEEP].detail
+
+
+PAIRING = "dual-basis pairing two-route (n=4, all k,q,j)"
+
+
+def test_delta_pairing_fails_on_changed_pairing_value(monkeypatch):
+    # The pairing of the (3, 1) functional at j = 1, moved by one pi-term of its own exponent.
+    real = verify.mustar_pairing
+
+    def patched(n, k, q, j):
+        value = real(n, k, q, j)
+        return value + value * Fraction(1, 7) if (n, k, q, j) == (4, 3, 1, 1) else value
+
+    monkeypatch.setattr(verify, "mustar_pairing", patched)
+    checks = {check.name: check for check in verify.identities_suite(4)}
+    assert not checks[PAIRING].passed and checks[PAIRING].detail == "Delta:3,1"
+
+
+NN_ROUTE = "two-route N* products agree"
+
+
+def test_nn_route_fails_on_changed_coefficient(monkeypatch):
+    _patch_one_coefficient(monkeypatch, 3, AreaIndex(Family.N, 1, 0), AreaIndex(Family.N, 2, 0),
+                           lambda c: 2 * c)
+    check = _algebra_checks(3)[NN_ROUTE]
+    assert not check.passed and check.detail == "N:1,0 * N:2,0"
+
+
+def test_associativity_fails_on_non_monomial_coordinate(monkeypatch):
+    # c becomes c + c*pi: the product can no longer be read on the pi-grading.
+    _patch_one_coefficient(monkeypatch, 3, AreaIndex(Family.DELTA, 1, 0), AreaIndex(Family.N, 1, 0),
+                           lambda c: c + c * PI)
+    checks = _algebra_checks(3)
+    assert not checks[ASSOCIATIVITY].passed and "N:1,0" in checks[ASSOCIATIVITY].detail
+    assert checks[PI_GRADING].detail.startswith("Delta:1,0 * N:1,0 at ")
+
+
+def test_closed_form_off_the_pi_grading_fails_every_route(monkeypatch):
+    # The prefactor of Delta*_{2,0} given one pi too many.
+    real = verify._delta_star_coefficients
+
+    def patched(n, k, q):
+        exponent, scale, coeffs = real(n, k, q)
+        return (exponent + 1 if (k, q) == (2, 0) else exponent), scale, coeffs
+
+    monkeypatch.setattr(verify, "_delta_star_coefficients", patched)
+    checks = _algebra_checks(3)
+    assert checks["closed form reproduces each Delta* basis element"].detail == "Delta:2,0"
+    assert "Delta:2,0" in checks[DELTA_ROUTE].detail and "Delta:2,0" in checks[DELTA_N_ROUTE].detail
+    assert checks[NN_ROUTE].detail == ("N:1,0 * N:2,0; N:2,0 * N:1,0; N:2,0 * N:2,0; "
+                                       "N:2,0 * N:3,1; N:3,1 * N:2,0")
+    with pytest.raises(verify.AlgebraConsistencyError):
+        verify.product_nn(3, AreaIndex(Family.N, 2, 0), AreaIndex(Family.N, 1, 0))
 
 
 # Every cache that holds a value derived from the raising rules, taken before
