@@ -569,10 +569,16 @@ def algebra_suite(n: int) -> list[CheckResult]:
     # each basis product on its pi-grading, or the pair fails.
     products: dict[tuple[AreaIndex, AreaIndex], Coordinates | None] = {}
     n_indices = valid_indices(n, Family.N)
+    # The N* N* reduction is symmetric in its two factors: one route per
+    # unordered pair, read against both products.
+    routes: dict[tuple[AreaIndex, AreaIndex], Coordinates | None] = {}
     bad = []
     for left in n_indices:
         for right in n_indices:
-            route = _nn_coordinates(n, left, right)
+            if (right, left) in routes:
+                route = routes[right, left]
+            else:
+                route = routes[left, right] = _nn_coordinates(n, left, right)
             if route is None or route != _read_product(n, products, left, right):
                 bad.append(f"{left.text()} * {right.text()}")
     checks.append(_sweep("two-route N* products agree", bad))
@@ -637,27 +643,29 @@ def _associativity_check(n: int, products: dict) -> CheckResult:
     Both sides expand the inner product in the basis and sum the basis
     products, i.e. they read the structure constants only, each once, as
     rational X' coordinates; a triple that reads a product off the pi-grading
-    fails.
+    fails.  The sums run on integers: every product read is scaled by one
+    common denominator D, so both sides are D^2 times their rational values.
     """
     indices = dual_basis_indices(n)
     top = 2 * n - 1
+    triples = [(a, b, c) for i, a in enumerate(indices) for j, b in enumerate(indices[i:], i)
+               if a.k + b.k <= top for c in indices[j:] if a.k + b.k + c.k <= top]
+    for a, b, c in triples:
+        for inner in _read_product(n, products, a, b) or ():
+            _read_product(n, products, inner, c)
+        for inner in _read_product(n, products, b, c) or ():
+            _read_product(n, products, a, inner)
+    denominator = lcm(*(c.denominator for coords in products.values() if coords for c in coords.values()))
+    scaled = {key: None if coords is None else {idx: c.numerator * (denominator // c.denominator)
+                                                  for idx, c in coords.items()}
+              for key, coords in products.items()}
     bad = []
-    for i, a in enumerate(indices):
-        for j in range(i, len(indices)):
-            b = indices[j]
-            if a.k + b.k > top:
-                break
-            ab = _read_product(n, products, a, b)
-            for c in indices[j:]:
-                if a.k + b.k + c.k > top:
-                    break
-                bc = _read_product(n, products, b, c)
-                left = None if ab is None else _combine(
-                    (coeff, _read_product(n, products, inner, c)) for inner, coeff in ab.items())
-                right = None if bc is None else _combine(
-                    (coeff, _read_product(n, products, a, inner)) for inner, coeff in bc.items())
-                if left is None or left != right:
-                    bad.append(f"({a.text()} {b.text()}) {c.text()}")
+    for a, b, c in triples:
+        ab, bc = scaled[a, b], scaled[b, c]
+        left = None if ab is None else _combine((coeff, scaled[inner, c]) for inner, coeff in ab.items())
+        right = None if bc is None else _combine((coeff, scaled[a, inner]) for inner, coeff in bc.items())
+        if left is None or left != right:
+            bad.append(f"({a.text()} {b.text()}) {c.text()}")
     return _sweep("associativity (ab)c = a(bc) on basis triples", bad)
 
 
