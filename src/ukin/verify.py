@@ -67,7 +67,7 @@ def _sweep(name: str, failures: list[str]) -> CheckResult:
     return CheckResult(name, not failures, "; ".join(failures[:8]))
 
 
-def _zero_check(name: str, n: int, remainder: "Coordinates") -> CheckResult:
+def _zero_check(name: str, n: int, remainder: Coordinates) -> CheckResult:
     # remainder: X' coordinates at pi^0, shown on X* when nonzero.
     if not remainder:
         return CheckResult(name, True)
@@ -210,7 +210,7 @@ def _poly_product(left: Poly, right: Poly) -> dict[Monomial, Rational]:
                           for (a1, b1), c1 in left.items() for (a2, b2), c2 in right.items()))
 
 
-def _combine(terms: Iterable[tuple[Rational, "Coordinates | None"]]) -> "Coordinates | None":
+def _combine(terms: Iterable[tuple[Rational, Coordinates | None]]) -> Coordinates | None:
     # The sum of weight * coordinates, or None if one of them is None.
     out: Coordinates = {}
     for weight, coords in terms:
