@@ -1,10 +1,11 @@
 """Byte gate: SHA-256 of every golden CLI document, compared byte for byte.
 
-The documents are `table` for n = 2..7 in both bases, and every `global`
-(Delta) and `semilocal` (Delta and N) target for n = 2 and 3, each as text,
-latex and json; `formula` for the middle-degree target `F:n,1` of each
-family F at n = 4..8, in the family's own basis, as json and as text (Delta,
-N) or latex (B, Gamma); and `census` for n = 5 and 12, as json and text.
+The documents are `table` for n = 2..7 in both bases, each as text, latex
+and json, and for n = 8 and 9 in both bases as json; every `global` (Delta)
+and `semilocal` (Delta and N) target for n = 2 and 3, each as text, latex and
+json; `formula` for the middle-degree target `F:n,1` of each family F at
+n = 4..8, in the family's own basis, as json and as text (Delta, N) or latex
+(B, Gamma); and `census` for n = 5, 12 and 24, as json and text.
 They are produced by `ukin.cli.main` in-process with stdout captured;
 `tests/golden/digests.json` maps each command line to the digest of its
 stdout.
@@ -36,6 +37,8 @@ def documents() -> list[str]:
         f"table --n {n} --basis {basis} --format {fmt}"
         for n in range(2, 8) for basis in ("delta-n", "b-gamma") for fmt in FORMATS
     ]
+    commands += [f"table --n {n} --basis {basis} --format json"
+                 for n in (8, 9) for basis in ("delta-n", "b-gamma")]
     for n in (2, 3):
         targets = {
             "global": valid_indices(n, Family.DELTA),
@@ -68,7 +71,7 @@ def stored() -> dict[str, str]:
 
 
 def test_digest_file_covers_exactly_the_gated_documents(stored):
-    assert len(documents()) == 178
+    assert len(documents()) == 182
     assert sorted(stored) == sorted(documents())
 
 
