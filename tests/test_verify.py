@@ -5,11 +5,13 @@ from fractions import Fraction
 import pytest
 
 from ukin import dualalgebra, verify
-from ukin.areabasis import AreaIndex, Family
+from ukin.areabasis import AreaIndex, Family, census, dual_basis_indices
 from ukin.cli import main
-from ukin.dualalgebra import AreaDualElement
-from ukin.exactnum import PI
+from ukin.dualalgebra import AreaDualElement, basis_element, unit
+from ukin.exactnum import PI, PiScalar
 
+UNIT_LAW = "unit law"
+COMMUTATIVITY = "product commutativity and degree truncation"
 ASSOCIATIVITY = "associativity (ab)c = a(bc) on basis triples"
 PI_GRADING = "pi-grading of basis-pair products"
 DELTA_ROUTE = "two-route Delta* products agree"
@@ -18,6 +20,10 @@ DELTA_N_ROUTE = "two-route Delta* N* products agree"
 
 def _algebra_checks(n):
     return {check.name: check for check in verify.algebra_suite(n)}
+
+
+def _failing(checks):
+    return {check.name: check.detail for check in checks if not check.passed}
 
 
 def _patch_one_coefficient(monkeypatch, n, left, right, change):
@@ -67,6 +73,78 @@ def test_delta_n_route_fails_on_changed_coefficient(monkeypatch):
                            lambda c: 2 * c)
     check = _algebra_checks(3)[DELTA_N_ROUTE]
     assert not check.passed and check.detail == "Delta:2,0 * N:1,0"
+
+
+def test_unit_law_fails_on_changed_unit_product(monkeypatch):
+    # The unit times N*_{1,0} read as twice N*_{1,0}.
+    real = verify.product
+    target = basis_element(3, AreaIndex(Family.N, 1, 0))
+
+    def patched(x, y):
+        result = real(x, y)
+        return result + result if (x, y) == (unit(3), target) else result
+
+    monkeypatch.setattr(verify, "product", patched)
+    assert _failing(verify.algebra_suite(3)) == {UNIT_LAW: "N:1,0"}
+
+
+def test_product_commutativity_fails_on_changed_ordered_pair(monkeypatch):
+    # N*_{1,0} Delta*_{1,0} doubled, Delta*_{1,0} N*_{1,0} left as it is.
+    _patch_one_coefficient(monkeypatch, 3, AreaIndex(Family.N, 1, 0), AreaIndex(Family.DELTA, 1, 0),
+                           lambda c: 2 * c)
+    assert _failing(verify.algebra_suite(3)) == {COMMUTATIVITY: "Delta:1,0 * N:1,0"}
+
+
+def test_degree_truncation_fails_on_product_above_top_degree(monkeypatch):
+    # Delta*_{3,1} Delta*_{3,1} has degree 6 > 2n-1 at n = 3; it reads as pi^2 times the unit, on
+    # its pi-grading.  No two-route check reads a Delta pair above the top degree.
+    real = verify.basis_product
+    top_pair = (AreaIndex(Family.DELTA, 3, 1), AreaIndex(Family.DELTA, 3, 1))
+
+    def patched(n, left, right):
+        if (n, (left, right)) != (3, top_pair):
+            return real(n, left, right)
+        return AreaDualElement(3, {AreaIndex(Family.DELTA, 0, 0): PiScalar(1, 2)})
+
+    monkeypatch.setattr(verify, "basis_product", patched)
+    assert _failing(verify.algebra_suite(3)) == {COMMUTATIVITY: "truncation: Delta:3,1 * Delta:3,1"}
+
+
+def test_graded_rank_fails_on_lowered_rank(monkeypatch):
+    real = verify.monomial_rank
+    monkeypatch.setattr(verify, "monomial_rank", lambda n, d: real(n, d) - (d == 2))
+    rank = census(3).per_degree[2]
+    assert _failing(verify.algebra_suite(3)) == {
+        "graded rank equals Delta/N census": f"degree 2: rank {rank - 1} != census {rank}"}
+
+
+def test_kinematic_symmetry_fails_on_changed_entry(monkeypatch):
+    # The entry (Delta_{1,0}, N_{1,0}) of the delta-n table of Delta_{2,0}, doubled.
+    real = verify.full_table
+    target, pair = AreaIndex(Family.DELTA, 2, 0), (AreaIndex(Family.DELTA, 1, 0), AreaIndex(Family.N, 1, 0))
+
+    def patched(n, basis):
+        tables = real(n, basis)
+        return [table._replace(entries={**table.entries, pair: 2 * table.entries[pair]})
+                if (basis, table.target) == (verify.BASIS_DELTA_N, target) else table for table in tables]
+
+    monkeypatch.setattr(verify, "full_table", patched)
+    assert _failing(verify.algebra_suite(3)) == {
+        "kinematic tables symmetric": "delta-n A(Delta:2,0): Delta:1,0,N:1,0; delta-n A(Delta:2,0): N:1,0,Delta:1,0"}
+
+
+def test_b_relation_fails_on_nonzero_b_pair(monkeypatch):
+    real = verify.basis_product
+    pair = (AreaIndex(Family.B, 1, 0), AreaIndex(Family.B, 2, 0))
+
+    def patched(n, left, right):
+        if (n, (left, right)) != (3, pair):
+            return real(n, left, right)
+        return AreaDualElement(3, {AreaIndex(Family.DELTA, 3, 0): PiScalar(Fraction(1, 2), 1)})
+
+    monkeypatch.setattr(verify, "basis_product", patched)
+    assert _failing(verify.verify_relations(3)) == {
+        "B* * B* = 0 (all pairs)": "B:1,0 * B:2,0 = (1/2 * pi) * Delta_{3,0}"}
 
 
 FPQ_SWEEP = f"-(4s-t^2) q_(k-1) + t p_k = (k+1)^2 f_(k+1) (k <= {verify.MAX_FPQ_K})"
