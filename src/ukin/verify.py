@@ -183,8 +183,11 @@ def wz_certificate_check(r: int, m: int, i: int) -> bool:
 
 # X' coordinates {index: rational} of pi^(-e) x for an element x on one
 # pi-exponent e, and a polynomial's rational coefficients by (t, s)-exponents.
+# A product table holds the X' coordinates of products by ordered pair, or None
+# for one off the pi-grading.
 Coordinates = dict[AreaIndex, Fraction]
 Poly = Mapping[Monomial, Rational]
+ProductTable = dict[tuple[AreaIndex, AreaIndex], Coordinates | None]
 
 # The unit is X'_{Delta 0,0}.  _rational_image reads the source B_{1,0} as
 # vbar, which is rational in degree 1, where X' = X*.
@@ -281,13 +284,13 @@ def _rational_closed_form(n: int, k: int, q: int) -> dict[Monomial, Fraction] | 
     return {(k - 2 * i, i): scale * c for i, c in coeffs.items()}
 
 
-def _nn_coordinates(n: int, left: AreaIndex, right: AreaIndex) -> Coordinates | None:
-    # N'_left N'_right by the reduction of product_nn, in X' coordinates; None
-    # when a closed form is off the pi-grading.
+def _nn_coordinates(n: int, left: AreaIndex, right: AreaIndex,
+                    poly_left: Poly | None, poly_right: Poly | None) -> Coordinates | None:
+    # N'_left N'_right by the reduction of product_nn, in X' coordinates, from
+    # the rational closed forms of Delta*_left and Delta*_right; None when one
+    # of them is off the pi-grading.
     k, q = left.k, left.q
     kp, qp = right.k, right.q
-    poly_left = _rational_closed_form(n, k, q)
-    poly_right = _rational_closed_form(n, kp, qp)
     if poly_left is None or poly_right is None:
         return None
     inner = _combine(((Fraction(2 * (n - kp + qp), kp - 2 * qp), _image(n, poly_left, {right: 1})),
@@ -314,7 +317,7 @@ def product_nn(n: int, left: AreaIndex, right: AreaIndex) -> AreaDualElement:
         if idx.family is not Family.N:
             raise InvalidIndexError(f"product_nn expects N indices, got {idx.text()}")
         require_valid(n, idx)
-    coords = _nn_coordinates(n, left, right)
+    coords = _nn_coordinates(n, left, right, *(_rational_closed_form(n, idx.k, idx.q) for idx in (left, right)))
     if coords is None:
         raise AlgebraConsistencyError(f"a closed form of Delta* is off the pi-grading at n={n}")
     return _element(n, left.k // 2 + right.k // 2, coords)
@@ -554,36 +557,40 @@ def algebra_suite(n: int) -> list[CheckResult]:
     bad = [idx.text() for idx, x in zip(indices, basis) if product(unit(n), x) != x]
     checks.append(_sweep("unit law", bad))
 
+    # Every ordered pair read once, as X' coordinates or None off the
+    # pi-grading; each law and two-route check below is a pass over this table.
+    table: ProductTable = {(left, right): _product_coordinates(n, left, right)
+                           for left in indices for right in indices}
     bad = []
     top = 2 * n - 1
     for i, left in enumerate(indices):
         for right in indices[i:]:
-            forward = basis_product(n, left, right)
-            if forward != basis_product(n, right, left):
+            forward = table[left, right]
+            if forward is None or forward != table[right, left]:
                 bad.append(f"{left.text()} * {right.text()}")
-            if left.k + right.k > top and forward:
+            if left.k + right.k > top and forward != {}:
                 bad.append(f"truncation: {left.text()} * {right.text()}")
     checks.append(_sweep("product commutativity and degree truncation", bad))
 
     # The solve-free routes below compare X' coordinates: each closed form and
     # each basis product on its pi-grading, or the pair fails.
-    products: dict[tuple[AreaIndex, AreaIndex], Coordinates | None] = {}
+    closed_forms = {idx: _rational_closed_form(n, idx.k, idx.q) for idx in valid_indices(n, Family.DELTA)}
     n_indices = valid_indices(n, Family.N)
     # The N* N* reduction is symmetric in its two factors: one route per
     # unordered pair, read against both products.
-    routes: dict[tuple[AreaIndex, AreaIndex], Coordinates | None] = {}
+    routes: ProductTable = {}
     bad = []
     for left in n_indices:
         for right in n_indices:
             if (right, left) in routes:
                 route = routes[right, left]
             else:
-                route = routes[left, right] = _nn_coordinates(n, left, right)
-            if route is None or route != _read_product(n, products, left, right):
+                route = routes[left, right] = _nn_coordinates(
+                    n, left, right, *(closed_forms[idx._replace(family=Family.DELTA)] for idx in (left, right)))
+            if route is None or route != table[left, right]:
                 bad.append(f"{left.text()} * {right.text()}")
     checks.append(_sweep("two-route N* products agree", bad))
 
-    closed_forms = {idx: _rational_closed_form(n, idx.k, idx.q) for idx in valid_indices(n, Family.DELTA)}
     bad = [idx.text() for idx, poly in closed_forms.items()
            if poly is None or _image(n, poly, _UNIT) != {idx: 1}]
     checks.append(_sweep("closed form reproduces each Delta* basis element", bad))
@@ -598,8 +605,7 @@ def algebra_suite(n: int) -> list[CheckResult]:
                 break
             poly_left, poly_right = closed_forms[left], closed_forms[right]
             if (poly_left is None or poly_right is None
-                    or _image(n, _poly_product(poly_left, poly_right), _UNIT)
-                    != _read_product(n, products, left, right)):
+                    or _image(n, _poly_product(poly_left, poly_right), _UNIT) != table[left, right]):
                 bad.append(f"{left.text()} * {right.text()}")
     checks.append(_sweep("two-route Delta* products agree", bad))
 
@@ -607,11 +613,11 @@ def algebra_suite(n: int) -> list[CheckResult]:
     bad = [f"{left.text()} * {right.text()}"
            for left, poly in closed_forms.items() for right in n_indices
            if left.k + right.k <= top
-           and (poly is None or _image(n, poly, {right: 1}) != _read_product(n, products, left, right))]
+           and (poly is None or _image(n, poly, {right: 1}) != table[left, right])]
     checks.append(_sweep("two-route Delta* N* products agree", bad))
 
-    checks.append(_associativity_check(n, products))
-    checks.append(_pi_grading_check(n, products))
+    checks.append(_associativity_check(n, indices, table))
+    checks.append(_pi_grading_check(n, indices, table))
 
     counts = census(n)
     bad = [f"degree {d}: rank {monomial_rank(n, d)} != census {counts.per_degree[d]}"
@@ -629,36 +635,22 @@ def algebra_suite(n: int) -> list[CheckResult]:
     return checks
 
 
-def _read_product(n: int, products: dict, left: AreaIndex, right: AreaIndex) -> Coordinates | None:
-    # _product_coordinates, read once per ordered pair into products.
-    key = (left, right)
-    if key not in products:
-        products[key] = _product_coordinates(n, left, right)
-    return products[key]
-
-
-def _associativity_check(n: int, products: dict) -> CheckResult:
+def _associativity_check(n: int, indices: list[AreaIndex], table: ProductTable) -> CheckResult:
     """(ab)c = a(bc) for basis triples a <= b <= c of total degree at most 2n-1.
 
     Both sides expand the inner product in the basis and sum the basis
-    products, i.e. they read the structure constants only, each once, as
+    products, i.e. they read the structure constants of the table only, as
     rational X' coordinates; a triple that reads a product off the pi-grading
-    fails.  The sums run on integers: every product read is scaled by one
-    common denominator D, so both sides are D^2 times their rational values.
+    fails.  The sums run on integers: every product is scaled by one common
+    denominator D, so both sides are D^2 times their rational values.
     """
-    indices = dual_basis_indices(n)
     top = 2 * n - 1
     triples = [(a, b, c) for i, a in enumerate(indices) for j, b in enumerate(indices[i:], i)
                if a.k + b.k <= top for c in indices[j:] if a.k + b.k + c.k <= top]
-    for a, b, c in triples:
-        for inner in _read_product(n, products, a, b) or ():
-            _read_product(n, products, inner, c)
-        for inner in _read_product(n, products, b, c) or ():
-            _read_product(n, products, a, inner)
-    denominator = lcm(*(c.denominator for coords in products.values() if coords for c in coords.values()))
+    denominator = lcm(*(c.denominator for coords in table.values() if coords for c in coords.values()))
     scaled = {key: None if coords is None else {idx: c.numerator * (denominator // c.denominator)
                                                   for idx, c in coords.items()}
-              for key, coords in products.items()}
+              for key, coords in table.items()}
     bad = []
     for a, b, c in triples:
         ab, bc = scaled[a, b], scaled[b, c]
@@ -669,16 +661,18 @@ def _associativity_check(n: int, products: dict) -> CheckResult:
     return _sweep("associativity (ab)c = a(bc) on basis triples", bad)
 
 
-def _pi_grading_check(n: int, products: dict) -> CheckResult:
+def _pi_grading_check(n: int, indices: list[AreaIndex], table: ProductTable) -> CheckResult:
     """Every coordinate of a basis-pair product of degrees k, l is one pi-monomial,
-    with exponent floor(k/2) + floor(l/2) - floor(r/2) at a coordinate of degree r."""
-    indices = dual_basis_indices(n)
+    with exponent floor(k/2) + floor(l/2) - floor(r/2) at a coordinate of degree r.
+
+    A pair off the grading in the table is read again, to list its
+    off-grade coordinates."""
     bad = []
     for i, left in enumerate(indices):
         for right in indices[i:]:
             if left.k + right.k > 2 * n - 1:
                 break
-            if _read_product(n, products, left, right) is not None:
+            if table[left, right] is not None:
                 continue
             grade = left.k // 2 + right.k // 2
             bad.extend(f"{left.text()} * {right.text()} at {idx.text()}: {coeff.text()}"

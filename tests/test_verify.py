@@ -1,5 +1,6 @@
 """The structure-constant checks of `verify --suite algebra` and that each one catches a fault."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -145,6 +146,21 @@ def test_b_relation_fails_on_nonzero_b_pair(monkeypatch):
     monkeypatch.setattr(verify, "basis_product", patched)
     assert _failing(verify.verify_relations(3)) == {
         "B* * B* = 0 (all pairs)": "B:1,0 * B:2,0 = (1/2 * pi) * Delta_{3,0}"}
+
+
+def test_algebra_suite_reads_each_ordered_pair_once(monkeypatch):
+    real = verify.basis_product
+    reads = Counter()
+
+    def counted(n, left, right):
+        reads[left, right] += 1
+        return real(n, left, right)
+
+    monkeypatch.setattr(verify, "basis_product", counted)
+    assert not _failing(verify.algebra_suite(3))
+    indices = dual_basis_indices(3)
+    assert reads == Counter({(left, right): 1 for left in indices for right in indices})
+    assert sum(reads.values()) == len(indices) ** 2
 
 
 FPQ_SWEEP = f"-(4s-t^2) q_(k-1) + t p_k = (k+1)^2 f_(k+1) (k <= {verify.MAX_FPQ_K})"
