@@ -53,11 +53,13 @@ def join_signed(terms: Iterable[tuple[int, str]]) -> str:
 
 
 class NonMonomialDivisorError(ArithmeticError):
-    """Division by a scalar that is zero or has more than one pi-term.
+    """A scalar read as one pi-term is zero or has several.
 
-    Every divisor arising in this package (ball-volume ratios, elimination
-    pivots) is a single term r * pi^j; anything else indicates a bug in the
-    caller, so this is raised instead of attempting a rational-function field.
+    PiScalar.monomial() raises it, and so does the public division, which
+    divides only by a single term r * pi^j.  No code in this package divides
+    a PiScalar; it reads ball volumes as single terms through monomial(), and
+    anything else indicates a bug in the caller, so this is raised instead of
+    attempting a rational-function field.
     """
 
 
