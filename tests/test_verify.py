@@ -160,7 +160,6 @@ def test_algebra_suite_reads_each_ordered_pair_once(monkeypatch):
     assert not _failing(verify.algebra_suite(3))
     indices = dual_basis_indices(3)
     assert reads == Counter({(left, right): 1 for left in indices for right in indices})
-    assert sum(reads.values()) == len(indices) ** 2
 
 
 FPQ_SWEEP = f"-(4s-t^2) q_(k-1) + t p_k = (k+1)^2 f_(k+1) (k <= {verify.MAX_FPQ_K})"
