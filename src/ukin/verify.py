@@ -559,14 +559,14 @@ def algebra_suite(n: int) -> list[CheckResult]:
 
     # Every ordered pair read once, as X' coordinates or None off the
     # pi-grading; each law and two-route check below is a pass over this table.
-    table: ProductTable = {(left, right): _product_coordinates(n, left, right)
-                           for left in indices for right in indices}
+    products: ProductTable = {(left, right): _product_coordinates(n, left, right)
+                              for left in indices for right in indices}
     bad = []
     top = 2 * n - 1
     for i, left in enumerate(indices):
         for right in indices[i:]:
-            forward = table[left, right]
-            if forward is None or forward != table[right, left]:
+            forward = products[left, right]
+            if forward is None or forward != products[right, left]:
                 bad.append(f"{left.text()} * {right.text()}")
             if left.k + right.k > top and forward != {}:
                 bad.append(f"truncation: {left.text()} * {right.text()}")
@@ -587,7 +587,7 @@ def algebra_suite(n: int) -> list[CheckResult]:
             else:
                 route = routes[left, right] = _nn_coordinates(
                     n, left, right, *(closed_forms[idx._replace(family=Family.DELTA)] for idx in (left, right)))
-            if route is None or route != table[left, right]:
+            if route is None or route != products[left, right]:
                 bad.append(f"{left.text()} * {right.text()}")
     checks.append(_sweep("two-route N* products agree", bad))
 
@@ -605,7 +605,7 @@ def algebra_suite(n: int) -> list[CheckResult]:
                 break
             poly_left, poly_right = closed_forms[left], closed_forms[right]
             if (poly_left is None or poly_right is None
-                    or _image(n, _poly_product(poly_left, poly_right), _UNIT) != table[left, right]):
+                    or _image(n, _poly_product(poly_left, poly_right), _UNIT) != products[left, right]):
                 bad.append(f"{left.text()} * {right.text()}")
     checks.append(_sweep("two-route Delta* products agree", bad))
 
@@ -613,11 +613,11 @@ def algebra_suite(n: int) -> list[CheckResult]:
     bad = [f"{left.text()} * {right.text()}"
            for left, poly in closed_forms.items() for right in n_indices
            if left.k + right.k <= top
-           and (poly is None or _image(n, poly, {right: 1}) != table[left, right])]
+           and (poly is None or _image(n, poly, {right: 1}) != products[left, right])]
     checks.append(_sweep("two-route Delta* N* products agree", bad))
 
-    checks.append(_associativity_check(n, indices, table))
-    checks.append(_pi_grading_check(n, indices, table))
+    checks.append(_associativity_check(n, indices, products))
+    checks.append(_pi_grading_check(n, indices, products))
 
     counts = census(n)
     bad = [f"degree {d}: rank {monomial_rank(n, d)} != census {counts.per_degree[d]}"
@@ -635,22 +635,22 @@ def algebra_suite(n: int) -> list[CheckResult]:
     return checks
 
 
-def _associativity_check(n: int, indices: list[AreaIndex], table: ProductTable) -> CheckResult:
+def _associativity_check(n: int, indices: list[AreaIndex], products: ProductTable) -> CheckResult:
     """(ab)c = a(bc) for basis triples a <= b <= c of total degree at most 2n-1.
 
     Both sides expand the inner product in the basis and sum the basis
-    products, i.e. they read the structure constants of the table only, as
-    rational X' coordinates; a triple that reads a product off the pi-grading
-    fails.  The sums run on integers: every product is scaled by one common
+    products, i.e. they read the structure constants in the product table
+    only, as rational X' coordinates; a triple that reads a product off the
+    pi-grading fails.  The sums run on integers: every product is scaled by one common
     denominator D, so both sides are D^2 times their rational values.
     """
     top = 2 * n - 1
     triples = [(a, b, c) for i, a in enumerate(indices) for j, b in enumerate(indices[i:], i)
                if a.k + b.k <= top for c in indices[j:] if a.k + b.k + c.k <= top]
-    denominator = lcm(*(c.denominator for coords in table.values() if coords for c in coords.values()))
+    denominator = lcm(*(c.denominator for coords in products.values() if coords for c in coords.values()))
     scaled = {key: None if coords is None else {idx: c.numerator * (denominator // c.denominator)
                                                   for idx, c in coords.items()}
-              for key, coords in table.items()}
+              for key, coords in products.items()}
     bad = []
     for a, b, c in triples:
         ab, bc = scaled[a, b], scaled[b, c]
@@ -661,18 +661,18 @@ def _associativity_check(n: int, indices: list[AreaIndex], table: ProductTable) 
     return _sweep("associativity (ab)c = a(bc) on basis triples", bad)
 
 
-def _pi_grading_check(n: int, indices: list[AreaIndex], table: ProductTable) -> CheckResult:
+def _pi_grading_check(n: int, indices: list[AreaIndex], products: ProductTable) -> CheckResult:
     """Every coordinate of a basis-pair product of degrees k, l is one pi-monomial,
     with exponent floor(k/2) + floor(l/2) - floor(r/2) at a coordinate of degree r.
 
-    A pair off the grading in the table is read again, to list its
+    A pair that the product table holds as None is read again, to list its
     off-grade coordinates."""
     bad = []
     for i, left in enumerate(indices):
         for right in indices[i:]:
             if left.k + right.k > 2 * n - 1:
                 break
-            if table[left, right] is not None:
+            if products[left, right] is not None:
                 continue
             grade = left.k // 2 + right.k // 2
             bad.extend(f"{left.text()} * {right.text()} at {idx.text()}: {coeff.text()}"
