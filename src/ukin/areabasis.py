@@ -55,8 +55,8 @@ class AreaIndex(NamedTuple):
         return (self.k, _FAMILY_RANK[self.family], self.q)
 
     def text(self) -> str:
-        """CLI syntax, e.g. 'Delta:2,1'."""
-        return f"{self.family.value}:{self.k},{self.q}"
+        """CLI syntax, e.g. 'Delta:2,1', also for a family that is not a Family member."""
+        return f"{self.family!s}:{self.k},{self.q}"
 
     def latex(self) -> str:
         return f"{_LATEX_NAME[self.family]}_{{{self.k},{self.q}}}"
@@ -113,9 +113,10 @@ def _family_indices(n: int, family: Family, k: int) -> list[AreaIndex]:
 
 
 def is_valid(n: int, index: AreaIndex) -> bool:
+    """Whether the index is in its family's range; never for a family outside Family."""
     _require_dimension(n)
     k = index.k
-    if not 0 <= k <= 2 * n - 1:
+    if not isinstance(index.family, Family) or not 0 <= k <= 2 * n - 1:
         return False
     lo, hi = _q_bounds(n, index.family, k)
     return lo <= index.q <= hi
@@ -123,6 +124,8 @@ def is_valid(n: int, index: AreaIndex) -> bool:
 
 def require_valid(n: int, index: AreaIndex) -> AreaIndex:
     if not is_valid(n, index):
+        if not isinstance(index.family, Family):
+            raise InvalidIndexError(f"invalid index family {index.family!r}; expected a Family member")
         raise InvalidIndexError(f"invalid index {index.text()} for n={n}")
     return index
 

@@ -18,7 +18,7 @@ import sys
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Iterator, Sequence, TextIO
 
-from .areabasis import Family, InvalidIndexError, census, parse_index, require_valid
+from .areabasis import Family, InvalidIndexError, census, parse_index
 from .dualalgebra import monomial_rank
 from .kinematics import (
     BASIS_B_GAMMA,
@@ -266,7 +266,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             if target.family is not Family.DELTA:
                 return _usage_error(
                     f"global formulas exist for Delta targets only, got {target.text()}")
-            require_valid(args.n, target)
             table = global_formula(args.n, target.k, target.q)
         else:  # semilocal
             table = semilocal_formula(args.n, target)

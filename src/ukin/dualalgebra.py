@@ -35,12 +35,13 @@ census checks and the canonical solves.
 
 The canonical form is solved once per Delta*/N* basis element, on the
 integer matrix of its degree, and cached: the form of X*_{k,q} is the
-rational solution for X'_{k,q} times pi^floor(k/2).  The form of any element
-is the linear combination of those.  There is one product cache, the delta-n
+rational solution for X'_{k,q} times pi^floor(k/2), and canonicalize sums
+those forms for any element.  There is one product cache, the delta-n
 structure constants: each ordered Delta*/N* pair multiplies its two cached
-forms once.  B*/Gamma* products are neither solved nor cached: the 2x2 block
-maps of areabasis expand each factor into Delta*/N* terms, and basis_product
-combines the cached delta-n products on every call.  Emitted indices outside
+forms once.  Every other product is a bilinear read of that cache and runs
+no solve: product sums over the Delta*/N* terms of both factors, and
+basis_product expands a B* or Gamma* factor into at most two Delta*/N* terms
+by the 2x2 block maps of areabasis, on every call.  Emitted indices outside
 their validity range denote zero and are silently dropped; in particular
 products of total degree above 2n-1 vanish.
 
@@ -79,9 +80,7 @@ from .exactnum import (
     join_signed,
     split_sign,
 )
-from .stpoly import STPoly
-
-ScalarLike = PiScalar | int | Fraction
+from .stpoly import ScalarLike, STPoly
 
 
 class InconsistentSystemError(RuntimeError):
@@ -169,10 +168,6 @@ def _term_text(idx: AreaIndex, coeff: PiScalar) -> tuple[int, str]:
     if " " in mag_text:
         mag_text = f"({mag_text})"
     return sign, f"{idx}" if mag_text == "1" else f"{mag_text} * {idx}"
-
-
-def zero(n: int) -> AreaDualElement:
-    return AreaDualElement(n)
 
 
 def basis_element(n: int, index: AreaIndex) -> AreaDualElement:
@@ -504,24 +499,31 @@ def canonicalize(x: AreaDualElement) -> CanonicalForm:
     return CanonicalForm(n, phi, psi)
 
 
-def _form_product(cx: CanonicalForm, cy: CanonicalForm) -> AreaDualElement:
-    # vbar^2 = 0 drops the psi_x psi_y term.
-    return CanonicalForm(cx.n, cx.phi * cy.phi, cx.phi * cy.psi + cy.phi * cx.psi).evaluate()
+@lru_cache(maxsize=None)
+def _dn_product(n: int, left: AreaIndex, right: AreaIndex) -> AreaDualElement:
+    # The delta-n structure constants by ordered Delta*/N* pair, the one product
+    # cache; indices are checked on a miss only, and vbar^2 = 0 drops psi psi'.
+    cx, cy = _basis_canonical(n, _require_dual(n, left)), _basis_canonical(n, _require_dual(n, right))
+    return CanonicalForm(n, cx.phi * cy.phi, cx.phi * cy.psi + cy.phi * cx.psi).evaluate()
+
+
+def _bilinear(n: int, left_terms: Mapping[AreaIndex, ScalarLike],
+              right_terms: Mapping[AreaIndex, ScalarLike]) -> AreaDualElement:
+    # The product of two Delta*/N* term maps: each pair of terms scales one
+    # cached delta-n product.
+    acc: dict[AreaIndex, PiScalar] = {}
+    for left, left_coeff in left_terms.items():
+        for right, right_coeff in right_terms.items():
+            weight = left_coeff * right_coeff
+            add_terms(acc, ((idx, c * weight) for idx, c in _dn_product(n, left, right)._terms.items()))
+    return _wrap(n, acc)
 
 
 def product(x: AreaDualElement, y: AreaDualElement) -> AreaDualElement:
-    """Kinematic product, computed through canonical forms and vbar^2 = 0."""
+    """Kinematic product, read bilinearly off the delta-n structure constants."""
     if x.n != y.n:
         raise ValueError(f"mixed ambient dimensions: {x.n} vs {y.n}")
-    return _form_product(canonicalize(x), canonicalize(y))
-
-
-@lru_cache(maxsize=None)
-def _dn_product(n: int, left: AreaIndex, right: AreaIndex) -> AreaDualElement:
-    # The delta-n structure constants, keyed by the ordered Delta*/N* pair:
-    # the one product cache.  Indices are checked on a miss only.
-    return _form_product(_basis_canonical(n, _require_dual(n, left)),
-                         _basis_canonical(n, _require_dual(n, right)))
+    return _bilinear(x.n, x._terms, y._terms)
 
 
 def basis_product(n: int, left: AreaIndex, right: AreaIndex) -> AreaDualElement:
@@ -535,8 +537,4 @@ def basis_product(n: int, left: AreaIndex, right: AreaIndex) -> AreaDualElement:
     """
     if left.family in _DN_FAMILIES and right.family in _DN_FAMILIES:
         return _dn_product(n, left, right)
-    total = zero(n)
-    for left_dn, left_coeff in _dn_terms(n, left).items():
-        for right_dn, right_coeff in _dn_terms(n, right).items():
-            total = total + (left_coeff * right_coeff) * _dn_product(n, left_dn, right_dn)
-    return total
+    return _bilinear(n, _dn_terms(n, left), _dn_terms(n, right))

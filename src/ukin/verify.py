@@ -32,6 +32,7 @@ from typing import Iterable, Mapping, NamedTuple
 
 from .areabasis import (
     AreaIndex,
+    Coordinates,
     Family,
     InvalidIndexError,
     census,
@@ -42,11 +43,8 @@ from .areabasis import (
 from .dualalgebra import (
     AreaDualElement,
     _rational_image,
-    basis_element,
     basis_product,
     monomial_rank,
-    product,
-    unit,
 )
 from .exactnum import PiScalar, Rational, add_terms, ball_volume, binomial
 from .kinematics import BASIS_B_GAMMA, BASIS_DELTA_N, full_table
@@ -181,11 +179,10 @@ def wz_certificate_check(r: int, m: int, i: int) -> bool:
 # Closed forms in the dual algebra and the presentation relations
 # ---------------------------------------------------------------------------
 
-# X' coordinates {index: rational} of pi^(-e) x for an element x on one
-# pi-exponent e, and a polynomial's rational coefficients by (t, s)-exponents.
-# A product table holds the X' coordinates of products by ordered pair, or None
+# Here Coordinates are the X' coordinates of pi^(-e) x for an element x on one
+# pi-exponent e, and a Poly holds rational coefficients by (t, s)-exponents.
+# A product table holds the Coordinates of products by ordered pair, or None
 # for one off the pi-grading.
-Coordinates = dict[AreaIndex, Fraction]
 Poly = Mapping[Monomial, Rational]
 ProductTable = dict[tuple[AreaIndex, AreaIndex], Coordinates | None]
 
@@ -553,14 +550,15 @@ def algebra_suite(n: int) -> list[CheckResult]:
            if _image(n, _S, _image(n, _T, {idx: 1})) != _image(n, _T, _image(n, _S, {idx: 1}))]
     checks.append(_sweep("operator commutativity sbar tbar = tbar sbar", bad))
 
-    basis = [basis_element(n, idx) for idx in indices]
-    bad = [idx.text() for idx, x in zip(indices, basis) if product(unit(n), x) != x]
-    checks.append(_sweep("unit law", bad))
-
     # Every ordered pair read once, as X' coordinates or None off the
     # pi-grading; each law and two-route check below is a pass over this table.
     products: ProductTable = {(left, right): _product_coordinates(n, left, right)
                               for left in indices for right in indices}
+
+    unit = AreaIndex(Family.DELTA, 0, 0)
+    bad = [idx.text() for idx in indices if products[unit, idx] != {idx: 1}]
+    checks.append(_sweep("unit law", bad))
+
     bad = []
     top = 2 * n - 1
     for i, left in enumerate(indices):

@@ -15,6 +15,7 @@ from ukin.areabasis import (
     parse_index,
     primal_bg_from_dn,
     primal_dn_from_bg,
+    require_valid,
     valid_indices,
 )
 
@@ -68,6 +69,15 @@ class TestRanges:
             assert valid_indices(n, family) == expected, family
             assert all(is_valid(n, i) for i in expected)
             assert not is_valid(n, AreaIndex(family, 2 * n, n))
+
+    @pytest.mark.parametrize("index", [AreaIndex("N", 2, 1), AreaIndex("X", 1, 0), AreaIndex("Delta", 3, 1)],
+                             ids=["N-out-of-range", "unknown", "Delta-in-range"])
+    def test_family_outside_the_enum_is_invalid(self, index):
+        # A plain string equals a Family member's value but is no member: invalid, in its range or not.
+        assert not is_valid(2, index)
+        with pytest.raises(InvalidIndexError, match=f"invalid index family '{index.family}'"):
+            require_valid(2, index)
+        assert index.text() == f"{index.family}:{index.k},{index.q}"
 
     def test_parse_roundtrip(self):
         assert parse_index("Delta:2,1") == idx("Delta", 2, 1)

@@ -223,10 +223,11 @@ class TestExitCodes:
         assert result.returncode == 0
         assert result.stdout
 
-    def test_invalid_index_is_usage_error(self):
-        result = run_cli("formula", "--n", "2", "--target", "Delta:9,9")
+    @pytest.mark.parametrize("verb", ["formula", "global", "semilocal"])
+    def test_invalid_index_is_usage_error(self, verb):
+        result = run_cli(verb, "--n", "2", "--target", "Delta:9,9")
         assert result.returncode == 2
-        assert "invalid index" in result.stderr
+        assert result.stderr == "ukin: error: invalid index Delta:9,9 for n=2\n"
 
     def test_malformed_target(self):
         result = run_cli("formula", "--n", "2", "--target", "Delta:2")

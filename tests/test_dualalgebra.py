@@ -10,6 +10,7 @@ from ukin import dualalgebra
 from ukin.areabasis import AreaIndex, Family, valid_indices, dual_basis_indices, census
 from ukin.dualalgebra import (
     AreaDualElement,
+    CanonicalForm,
     InconsistentSystemError,
     basis_element,
     basis_product,
@@ -350,9 +351,51 @@ class TestMemoizedCanonicalForms:
             for right in bg + dual_basis_indices(n):
                 if left.k + right.k > 2 * n - 1:
                     continue
-                expected = product(dual_element(n, left), dual_element(n, right))
+                expected = _canonical_route(dual_element(n, left), dual_element(n, right))
                 assert basis_product(n, left, right) == expected, (left, right)
                 assert basis_product(n, right, left) == expected, (right, left)
+
+
+def _canonical_route(x, y):
+    """x y through the canonical forms of both factors and vbar^2 = 0, from public names only."""
+    cx, cy = canonicalize(x), canonicalize(y)
+    return CanonicalForm(x.n, cx.phi * cy.phi, cx.phi * cy.psi + cy.phi * cx.psi).evaluate()
+
+
+def _random_element(rng, n, indices):
+    # Four basis elements of any family, with one- or two-term pi coefficients.
+    total = AreaDualElement(n)
+    for idx in rng.sample(indices, 4):
+        coeff = PiScalar(Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 9)), rng.randint(-2, 2))
+        if rng.random() < 0.3:
+            coeff = coeff + PiScalar(rng.randint(1, 5), 1)
+        total = total + coeff * dual_element(n, idx)
+    return total
+
+
+class TestProductRoutes:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_product_matches_canonical_route(self, n):
+        rng = random.Random(200 + n)
+        indices = [idx for family in Family for idx in valid_indices(n, family)]
+        for _ in range(8):
+            x, y = _random_element(rng, n, indices), _random_element(rng, n, indices)
+            assert len(x._terms) > 1 and len(y._terms) > 1
+            assert product(x, y) == _canonical_route(x, y), (x, y)
+
+    def test_products_never_canonicalize(self, monkeypatch):
+        def refuse(x):
+            raise AssertionError("a product called canonicalize")
+
+        _clear_product_caches()
+        monkeypatch.setattr(dualalgebra, "canonicalize", refuse)
+        n = 3
+        indices = [idx for family in Family for idx in valid_indices(n, family)]
+        for left in indices:
+            for right in indices:
+                basis_product(n, left, right)
+        x = _random_element(random.Random(1), n, indices)
+        product(x, x)
 
 
 class TestIntegerDegreeSystems:

@@ -8,7 +8,7 @@ import pytest
 from ukin import dualalgebra, verify
 from ukin.areabasis import AreaIndex, Family, census, dual_basis_indices
 from ukin.cli import main
-from ukin.dualalgebra import AreaDualElement, basis_element, unit
+from ukin.dualalgebra import AreaDualElement
 from ukin.exactnum import PI, PiScalar
 
 UNIT_LAW = "unit law"
@@ -77,16 +77,13 @@ def test_delta_n_route_fails_on_changed_coefficient(monkeypatch):
 
 
 def test_unit_law_fails_on_changed_unit_product(monkeypatch):
-    # The unit times N*_{1,0} read as twice N*_{1,0}.
-    real = verify.product
-    target = basis_element(3, AreaIndex(Family.N, 1, 0))
-
-    def patched(x, y):
-        result = real(x, y)
-        return result + result if (x, y) == (unit(3), target) else result
-
-    monkeypatch.setattr(verify, "product", patched)
-    assert _failing(verify.algebra_suite(3)) == {UNIT_LAW: "N:1,0"}
+    # The unit times N*_{1,0} read as twice N*_{1,0}; every check that reads that pair fails.
+    _patch_one_coefficient(monkeypatch, 3, AreaIndex(Family.DELTA, 0, 0), AreaIndex(Family.N, 1, 0),
+                           lambda c: 2 * c)
+    failing = _failing(verify.algebra_suite(3))
+    assert set(failing) == {UNIT_LAW, COMMUTATIVITY, DELTA_N_ROUTE, ASSOCIATIVITY}
+    assert failing[UNIT_LAW] == "N:1,0"
+    assert failing[COMMUTATIVITY] == failing[DELTA_N_ROUTE] == "Delta:0,0 * N:1,0"
 
 
 def test_product_commutativity_fails_on_changed_ordered_pair(monkeypatch):
