@@ -5,7 +5,11 @@ and json, and for n = 8 and 9 in both bases as json; every `global` (Delta)
 and `semilocal` (Delta and N) target for n = 2 and 3, each as text, latex and
 json; `formula` for the middle-degree target `F:n,1` of each family F at
 n = 4..8, in the family's own basis, as json and as text (Delta, N) or latex
-(B, Gamma); and `census` for n = 5, 12 and 24, as json and text.
+(B, Gamma); `census` for n = 5, 12 and 24, as json and text; and, as json,
+the middle-degree targets of the top degree at larger n: `formula` and
+`global` on Delta:11,5 and `semilocal` on N:11,4 at n = 12, all three verbs
+on Delta:15,7 at n = 16, `formula` on Delta:23,11 at n = 24 and on Gamma:11,5
+in the b-gamma basis at n = 12.
 They are produced by `ukin.cli.main` in-process with stdout captured;
 `tests/golden/digests.json` maps each command line to the digest of its
 stdout.
@@ -53,6 +57,11 @@ def documents() -> list[str]:
                                                  ("b-gamma", ("B", "Gamma"), "latex"))
                  for family in families for fmt in ("json", second)]
     commands += [f"census --n {n} --format {fmt}" for n in (5, 12, 24) for fmt in ("json", "text")]
+    commands += [f"{verb} --n {n} --target {target} --format json"
+                 for n, delta, semilocal in ((12, "Delta:11,5", "N:11,4"), (16, "Delta:15,7", "Delta:15,7"))
+                 for verb, target in (("formula", delta), ("global", delta), ("semilocal", semilocal))]
+    commands += ["formula --n 24 --target Delta:23,11 --format json",
+                 "formula --n 12 --target Gamma:11,5 --basis b-gamma --format json"]
     return commands
 
 
@@ -71,7 +80,7 @@ def stored() -> dict[str, str]:
 
 
 def test_digest_file_covers_exactly_the_gated_documents(stored):
-    assert len(documents()) == 182
+    assert len(documents()) == 190
     assert sorted(stored) == sorted(documents())
 
 
