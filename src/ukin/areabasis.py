@@ -90,9 +90,13 @@ def parse_index(text: str) -> AreaIndex:
         ) from exc
 
 
-def _require_dimension(n: int) -> None:
+def _require_arguments(n: int, *families: Family) -> None:
+    # _q_bounds tells families apart by identity: a plain "N" would read as Gamma.
     if n < 2:
         raise InvalidIndexError(f"ambient dimension must satisfy n >= 2, got {n}")
+    for family in families:
+        if not isinstance(family, Family):
+            raise InvalidIndexError(f"invalid index family {family!r}; expected a Family member")
 
 
 def _q_bounds(n: int, family: Family, k: int) -> tuple[int, int]:
@@ -114,7 +118,7 @@ def _family_indices(n: int, family: Family, k: int) -> list[AreaIndex]:
 
 def is_valid(n: int, index: AreaIndex) -> bool:
     """Whether the index is in its family's range; never for a family outside Family."""
-    _require_dimension(n)
+    _require_arguments(n)
     k = index.k
     if not isinstance(index.family, Family) or not 0 <= k <= 2 * n - 1:
         return False
@@ -124,15 +128,14 @@ def is_valid(n: int, index: AreaIndex) -> bool:
 
 def require_valid(n: int, index: AreaIndex) -> AreaIndex:
     if not is_valid(n, index):
-        if not isinstance(index.family, Family):
-            raise InvalidIndexError(f"invalid index family {index.family!r}; expected a Family member")
+        _require_arguments(n, index.family)
         raise InvalidIndexError(f"invalid index {index.text()} for n={n}")
     return index
 
 
 def valid_indices(n: int, family: Family) -> list[AreaIndex]:
     """All valid indices of one family, ordered by (k, q) ascending."""
-    _require_dimension(n)
+    _require_arguments(n, family)
     return [idx for k in range(2 * n) for idx in _family_indices(n, family, k)]
 
 
@@ -143,7 +146,7 @@ def dual_basis_indices(n: int) -> list[AreaIndex]:
 
 
 def indices_of_degree(n: int, degree: int, families: tuple[Family, ...] = (Family.DELTA, Family.N)) -> list[AreaIndex]:
-    _require_dimension(n)
+    _require_arguments(n, *families)
     if not 0 <= degree <= 2 * n - 1:
         return []
     merged = [idx for family in families for idx in _family_indices(n, family, degree)]
@@ -163,7 +166,7 @@ class Census(NamedTuple):
 
 def census(n: int) -> Census:
     """Per-degree dimension count of the Delta/N (equivalently B/Gamma) basis."""
-    _require_dimension(n)
+    _require_arguments(n)
 
     def counts(family: Family) -> tuple[int, ...]:
         return tuple(max(0, hi - lo + 1) for lo, hi in (_q_bounds(n, family, k) for k in range(2 * n)))

@@ -28,18 +28,16 @@ pi^(floor(k/2) - floor(r/2)) to an image coefficient from X'_k to X'_r, and
 the canonical forms and the degree systems read the two generator columns,
 the unit (source Delta_{0,0}) and vbar (source B_{1,0}, whose chains start
 from _edge_ratio(n) B*_{1,0} and so are cached already scaled).
-Each degree r has one integer matrix, whose columns are the X' images of its
-generator monomials, each a primitive integer vector with its own rational
-scale, and one fraction-free elimination (Bareiss) serves both the rank that
-census checks and the canonical solves.
-
-The canonical form is solved once per Delta*/N* basis element, on the
-integer matrix of its degree, and cached: the form of X*_{k,q} is the
-rational solution for X'_{k,q} times pi^floor(k/2), and canonicalize sums
-those forms for any element.  There is one product cache, the delta-n
-structure constants: each ordered Delta*/N* pair multiplies its two cached
-forms once.  Every other product is a bilinear read of that cache and runs
-no solve: product sums over the Delta*/N* terms of both factors, and
+Each degree r has one integer matrix A, whose columns are the X' images of
+its generator monomials, each a primitive integer vector with its own
+rational scale.  One fraction-free elimination (Bareiss) of A alone gives the
+rank that census checks; one of [A | I] gives the canonical form of every
+Delta*/N* basis element of the degree at once, cached per degree: the form of
+X*_{k,q} is the rational solution for X'_{k,q} times pi^floor(k/2), and
+canonicalize sums those forms for any element.  There is one product cache,
+the delta-n structure constants: each ordered Delta*/N* pair multiplies its
+two cached forms once.  Every other product is a bilinear read of that cache
+and runs no solve: product sums over the Delta*/N* terms of both factors, and
 basis_product expands a B* or Gamma* factor into at most two Delta*/N* terms
 by the 2x2 block maps of areabasis, on every call.  Emitted indices outside
 their validity range denote zero and are silently dropped; in particular
@@ -409,23 +407,23 @@ def _degree_system(n: int, degree: int):
     return rows, cols, matrix, tuple(scales)
 
 
-def _gauss_solve(matrix, rhs):
+def _gauss_solve(matrix, augment=False):
     """Fraction-free Gauss-Jordan elimination over the integers (Bareiss 1968).
 
     Processes columns left to right, picking the first unused row with a
-    nonzero entry as pivot.  Each step replaces every other row by
-    (pivot * row - row[col] * pivot_row) / previous pivot, an exact division,
-    so entries stay integers and every pivot row ends with the last pivot on
-    its diagonal.  Returns (solution, rank), the solution as Fractions with
-    free variables set to zero, or (None, rank) when rhs is None; without a
-    right-hand side only the unused rows are reduced.  Raises
-    InconsistentSystemError if no solution exists.
+    nonzero entry as pivot.  Each step replaces the other rows by
+    (pivot * row - row[col] * pivot_row) / previous pivot from col on (the
+    pivot row is zero left of it), an exact division.  With augment it reduces
+    every row of [matrix | I], so that column j of I over the last pivot, read
+    at the pivot rows, solves the j-th unit right-hand side, which is
+    consistent if zero at every unused row; without it only the unused rows,
+    which is all the rank needs.  Returns (rows, pivots as (row, column) in
+    column order, last pivot).
     """
-    solving = rhs is not None
-    rows = [[*row, value] for row, value in zip(matrix, rhs)] if solving else [list(row) for row in matrix]
-    nrows = len(rows)
+    nrows = len(matrix)
     ncols = len(matrix[0]) if nrows else 0
-    width = len(rows[0]) if nrows else 0
+    rows = [[*row, *(int(i == r) for i in range(nrows))] if augment else list(row)
+            for r, row in enumerate(matrix)]
     used = [False] * nrows
     pivots: list[tuple[int, int]] = []
     previous = 1
@@ -437,54 +435,52 @@ def _gauss_solve(matrix, rhs):
         pivots.append((pivot_row, col))
         top = rows[pivot_row]
         pivot = top[col]
-        for r in range(nrows):
-            if r == pivot_row or (used[r] and not solving):
-                continue
-            row = rows[r]
-            factor = row[col]
-            # An unused row is zero left of col; a pivot row is not.
-            for c in range(0 if used[r] else col, width):
-                row[c] = (pivot * row[c] - factor * top[c]) // previous
+        for r, row in enumerate(rows):
+            if r != pivot_row and (augment or not used[r]):
+                factor = row[col]
+                for c in range(col, len(row)):
+                    row[c] = (pivot * row[c] - factor * top[c]) // previous
         previous = pivot
-    if not solving:
-        return None, len(pivots)
-    for r in range(nrows):
-        if not used[r] and rows[r][ncols]:
-            raise InconsistentSystemError("inconsistent system: element is outside the generator span")
-    solution = [Fraction(0)] * ncols
-    for pivot_row, col in pivots:
-        solution[col] = Fraction(rows[pivot_row][ncols], rows[pivot_row][col])
-    return solution, len(pivots)
+    return rows, pivots, previous
 
 
 def monomial_rank(n: int, degree: int) -> int:
     """Rank of the generator-monomial image matrix in one degree."""
-    _, _, matrix, _ = _degree_system(n, degree)
-    if not matrix:
-        return 0
-    _, rank = _gauss_solve(matrix, None)
-    return rank
+    return len(_gauss_solve(_degree_system(n, degree)[2])[1])
 
 
 @lru_cache(maxsize=None)
-def _basis_canonical(n: int, index: AreaIndex) -> CanonicalForm:
-    """Canonical form of one Delta*/N* basis element: one solve per element.
+def _degree_forms(n: int, degree: int) -> dict[AreaIndex, CanonicalForm | None]:
+    """Read-only canonical form of every Delta*/N* basis element of one
+    degree, from one elimination of [A | I]; None outside the generator span.
 
-    _gauss_solve picks its pivots from the matrix alone, so the solution it
-    selects is linear in the right-hand side; canonicalize relies on that to
-    assemble the form of any element from these.  The integer system solves
-    for X'_k in its scaled columns; the form of X*_k = pi^floor(k/2) X'_k is
+    _gauss_solve picks its pivots from A alone, so the solution it selects is
+    linear in the right-hand side; canonicalize relies on that to assemble the
+    form of any element from these.  The form of X*_k = pi^floor(k/2) X'_k is
     each solution coordinate over its column's scale, times pi^floor(k/2).
     """
-    degree = index.k
     rows, cols, matrix, scales = _degree_system(n, degree)
-    solution, _ = _gauss_solve(matrix, [int(idx == index) for idx in rows])
-    phi, psi = {}, {}
-    for (b, on_v), coeff, scale in zip(cols, solution, scales):
-        if coeff:
-            a = (degree - (1 if on_v else 0)) - 2 * b
-            (psi if on_v else phi)[(a, b)] = PiScalar(coeff / scale, degree // 2)
-    return CanonicalForm(n, STPoly(phi), STPoly(psi))
+    reduced, pivots, denominator = _gauss_solve(matrix, augment=True)
+    pivot_rows = {r for r, _ in pivots}
+    forms = {}
+    for j, index in enumerate(rows, start=len(cols)):
+        phi, psi = {}, {}
+        for r, col in pivots:
+            if reduced[r][j]:
+                b, on_v = cols[col]
+                coeff = Fraction(reduced[r][j], denominator) / scales[col]
+                (psi if on_v else phi)[(degree - on_v - 2 * b, b)] = PiScalar(coeff, degree // 2)
+        inconsistent = any(row[j] for r, row in enumerate(reduced) if r not in pivot_rows)
+        forms[index] = None if inconsistent else CanonicalForm(n, STPoly(phi), STPoly(psi))
+    return forms
+
+
+def _basis_canonical(n: int, index: AreaIndex) -> CanonicalForm:
+    """Canonical form of one Delta*/N* basis element, read off its degree's forms."""
+    form = _degree_forms(n, index.k)[index]
+    if form is None:
+        raise InconsistentSystemError(f"inconsistent system: {index.text()} is outside the generator span")
+    return form
 
 
 def canonicalize(x: AreaDualElement) -> CanonicalForm:

@@ -11,6 +11,7 @@ from ukin.areabasis import (
     census,
     dual_bg_to_dn,
     dual_dn_to_bg,
+    indices_of_degree,
     is_valid,
     parse_index,
     primal_bg_from_dn,
@@ -78,6 +79,17 @@ class TestRanges:
         with pytest.raises(InvalidIndexError, match=f"invalid index family '{index.family}'"):
             require_valid(2, index)
         assert index.text() == f"{index.family}:{index.k},{index.q}"
+
+    @pytest.mark.parametrize("family", ["N", "X", "Delta"])
+    def test_enumerations_reject_a_family_outside_the_enum(self, family):
+        # A plain "N" once enumerated Gamma's range as N:0,0, N:1,0 and N:2,1.
+        message = f"invalid index family '{family}'; expected a Family member"
+        with pytest.raises(InvalidIndexError, match=message):
+            valid_indices(2, family)
+        for degree in (2, 9):
+            with pytest.raises(InvalidIndexError, match=message):
+                indices_of_degree(2, degree, (Family.DELTA, family))
+        assert indices_of_degree(2, 2, (Family.N,)) == []
 
     def test_parse_roundtrip(self):
         assert parse_index("Delta:2,1") == idx("Delta", 2, 1)

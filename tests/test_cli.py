@@ -435,6 +435,18 @@ class TestDeterminism:
         assert first.stdout == second.stdout
         assert first.stdout
 
+    @pytest.mark.parametrize("args", [("--format", "json"), ("--basis", "b-gamma", "--format", "latex")],
+                             ids=["delta-n-json", "b-gamma-latex"])
+    def test_table_bytes_do_not_depend_on_the_hash_seed(self, args):
+        # An index's hash reads a string hash, which changes with the seed, and
+        # so does the iteration order of every set of indices.
+        first, second = (subprocess.run([sys.executable, "-m", "ukin", "table", "--n", "6", *args],
+                                        capture_output=True, env={**cli_env(), "PYTHONHASHSEED": seed})
+                         for seed in ("0", "1"))
+        assert first.returncode == 0 and second.returncode == 0, (first.stderr, second.stderr)
+        assert first.stdout == second.stdout
+        assert first.stdout
+
 
 class TestGoldenFiles:
     def test_n2_table(self):

@@ -274,30 +274,53 @@ def _reference_gauss_solve(matrix, rhs):
     return solution, len(pivots)
 
 
+def _reference_form(degree, cols, solution):
+    """(phi, psi) of one degree's reference solution over the column keys."""
+    phi, psi = STPoly(), STPoly()
+    for (b, on_v), coeff in zip(cols, solution):
+        term = STPoly.monomial(degree - (1 if on_v else 0) - 2 * b, b, coeff)
+        if on_v:
+            psi = psi + term
+        else:
+            phi = phi + term
+    return phi, psi
+
+
 def _per_degree_canonical_form(x):
     """Reference: one solve per degree with x's own coefficients as right-hand side."""
     phi, psi = STPoly(), STPoly()
     for degree in sorted({idx.k for idx, _ in x.items()}):
         rows, cols, matrix = _piscalar_degree_system(x.n, degree)
         solution, _ = _reference_gauss_solve(matrix, [x.coefficient(idx) for idx in rows])
-        for (b, on_v), coeff in zip(cols, solution):
-            term = STPoly.monomial(degree - (1 if on_v else 0) - 2 * b, b, coeff)
-            if on_v:
-                psi = psi + term
-            else:
-                phi = phi + term
+        phi_r, psi_r = _reference_form(degree, cols, solution)
+        phi, psi = phi + phi_r, psi + psi_r
     return phi, psi
 
 
+def _solve_by_unit_columns(matrix, rhs):
+    """(solution, rank) of matrix x = rhs from the augmented elimination alone:
+    the rhs-weighted sum of its unit columns, over its last pivot."""
+    reduced, pivots, denominator = dualalgebra._gauss_solve(matrix, augment=True)
+    ncols = len(matrix[0])
+    combined = [sum(value * row[ncols + j] for j, value in enumerate(rhs)) for row in reduced]
+    pivot_rows = {r for r, _ in pivots}
+    if any(value for r, value in enumerate(combined) if r not in pivot_rows):
+        raise InconsistentSystemError("inconsistent system: right-hand side is outside the column span")
+    solution = [Fraction(0)] * ncols
+    for r, col in pivots:
+        solution[col] = Fraction(combined[r], denominator)
+    return solution, len(pivots)
+
+
 def _clear_product_caches():
-    for cached in (dualalgebra._basis_canonical, dualalgebra._dn_product):
+    for cached in (dualalgebra._degree_forms, dualalgebra._dn_product):
         cached.cache_clear()
 
 
 class TestMemoizedCanonicalForms:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_equals_per_degree_solve(self, n):
-        dualalgebra._basis_canonical.cache_clear()
+        dualalgebra._degree_forms.cache_clear()
         rng = random.Random(n)
         indices = dual_basis_indices(n)
         for _ in range(12):
@@ -313,19 +336,22 @@ class TestMemoizedCanonicalForms:
 
     @pytest.mark.parametrize("basis", [BASIS_DELTA_N, BASIS_B_GAMMA])
     @pytest.mark.parametrize("n", [3, 4, 5])
-    def test_full_table_solves_once_per_basis_element(self, n, basis, monkeypatch):
+    def test_full_table_eliminates_once_per_degree(self, n, basis, monkeypatch):
+        # One augmented elimination of each degree's matrix, 0..2n-1, gives
+        # every basis form; no elimination runs per basis element.
         _clear_product_caches()
-        solves = []
+        eliminated = []
         real = dualalgebra._gauss_solve
 
-        def counting(matrix, rhs):
-            if rhs is not None:
-                solves.append(rhs)
-            return real(matrix, rhs)
+        def counting(matrix, augment=False):
+            eliminated.append((matrix, augment))
+            return real(matrix, augment)
 
         monkeypatch.setattr(dualalgebra, "_gauss_solve", counting)
         full_table(n, basis)
-        assert len(solves) == census(n).total
+        expected = [(dualalgebra._degree_system(n, degree)[2], True) for degree in range(2 * n)]
+        assert sorted(eliminated) == sorted(expected)
+        assert len(eliminated) == 2 * n < census(n).total
 
     def test_only_delta_n_products_are_cached(self, monkeypatch):
         _clear_product_caches()
@@ -423,7 +449,8 @@ class TestIntegerDegreeSystems:
                     assert scaled == image.coefficient(idx) == reference[i][j], (n, degree, idx, b, on_v)
 
     def test_bareiss_matches_reference_on_rank_deficient_systems(self):
-        # Low-rank integer matrices, with consistent and inconsistent right-hand sides.
+        # Low-rank integer matrices, with consistent and inconsistent right-hand
+        # sides, each solved from the unit columns of one augmented elimination.
         rng = random.Random(7)
         for _ in range(300):
             nrows, ncols, rank = rng.randint(1, 7), rng.randint(1, 7), rng.randint(1, 5)
@@ -440,17 +467,59 @@ class TestIntegerDegreeSystems:
                                                   [PiScalar(v) for v in rhs])
             except InconsistentSystemError:
                 with pytest.raises(InconsistentSystemError):
-                    dualalgebra._gauss_solve(matrix, rhs)
+                    _solve_by_unit_columns(matrix, rhs)
                 continue
-            solution, rank_found = dualalgebra._gauss_solve(matrix, rhs)
+            solution, rank_found = _solve_by_unit_columns(matrix, rhs)
             assert ([PiScalar(c) for c in solution], rank_found) == expected, (matrix, rhs)
-            assert dualalgebra._gauss_solve(matrix, None) == (None, rank_found)
+            # The rank-only pass picks the same pivots.
+            assert dualalgebra._gauss_solve(matrix)[1] == dualalgebra._gauss_solve(matrix, augment=True)[1]
+            assert len(dualalgebra._gauss_solve(matrix)[1]) == rank_found
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_integer_solve_matches_piscalar_reference(self, n):
         for idx in dual_basis_indices(n):
             form = dualalgebra._basis_canonical(n, idx)
             assert (form.phi, form.psi) == _per_degree_canonical_form(basis_element(n, idx)), (n, idx)
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_degree_forms_match_one_at_a_time_reference_solves(self, n):
+        # Each basis element's own unit right-hand side, solved on its own by
+        # the PiScalar reference, gives the form that the one elimination of
+        # its degree caches.
+        for degree in range(2 * n):
+            rows, cols, matrix = _piscalar_degree_system(n, degree)
+            forms = dualalgebra._degree_forms(n, degree)
+            assert list(forms) == list(rows)
+            for idx in rows:
+                solution, _ = _reference_gauss_solve(matrix, [PiScalar(int(row == idx)) for row in rows])
+                assert (forms[idx].phi, forms[idx].psi) == _reference_form(degree, cols, solution), (n, idx)
+
+    @pytest.mark.parametrize("n, degree", [(2, 1), (3, 3), (4, 4)])
+    def test_element_outside_the_span_raises_for_itself_only(self, n, degree, monkeypatch):
+        # Zero one row of the image matrix: that element's unit column leaves
+        # the column span, and every other element of the degree still solves.
+        real = dualalgebra._degree_system
+        rows = real(n, degree)[0]
+        assert len(rows) > 1
+        try:
+            for broken in rows:
+                def patched(n_, degree_, broken=broken):
+                    rows_, cols, matrix, scales = real(n_, degree_)
+                    matrix = tuple(tuple(0 for _ in row) if idx == broken else row
+                                   for idx, row in zip(rows_, matrix))
+                    return rows_, cols, matrix, scales
+
+                monkeypatch.setattr(dualalgebra, "_degree_system", patched)
+                dualalgebra._degree_forms.cache_clear()
+                for idx in rows:
+                    if idx == broken:
+                        with pytest.raises(InconsistentSystemError, match=f"{idx.text()} is outside"):
+                            dualalgebra._basis_canonical(n, idx)
+                    else:
+                        assert isinstance(dualalgebra._basis_canonical(n, idx), CanonicalForm)
+        finally:
+            monkeypatch.undo()
+            dualalgebra._degree_forms.cache_clear()
 
 
 class TestProducts:
