@@ -411,14 +411,14 @@ def _gauss_solve(matrix, augment=False):
     """Fraction-free Gauss-Jordan elimination over the integers (Bareiss 1968).
 
     Processes columns left to right, picking the first unused row with a
-    nonzero entry as pivot.  Each step replaces the other rows by
-    (pivot * row - row[col] * pivot_row) / previous pivot from col on (the
-    pivot row is zero left of it), an exact division.  With augment it reduces
-    every row of [matrix | I], so that column j of I over the last pivot, read
-    at the pivot rows, solves the j-th unit right-hand side, which is
-    consistent if zero at every unused row; without it only the unused rows,
-    which is all the rank needs.  Returns (rows, pivots as (row, column) in
-    column order, last pivot).
+    nonzero entry as pivot.  Each step replaces the other rows from col on by
+    (pivot * row - row[col] * pivot_row) / previous pivot, an exact division;
+    left of col the pivot row is zero, so those entries, never read again, are
+    left unscaled.  With augment it reduces every row of [matrix | I], so that
+    column j of I over the last pivot, read at the pivot rows, solves the j-th
+    unit right-hand side, which is consistent if zero at every unused row;
+    without it only the unused rows, which is all the rank needs.  Returns
+    (rows, pivots as (row, column) in column order, last pivot).
     """
     nrows = len(matrix)
     ncols = len(matrix[0]) if nrows else 0
