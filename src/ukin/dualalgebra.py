@@ -76,7 +76,7 @@ from .exactnum import (
     as_piscalar,
     ball_volume,
     join_signed,
-    split_sign,
+    scaled_term,
 )
 from .stpoly import ScalarLike, STPoly
 
@@ -137,7 +137,7 @@ class AreaDualElement(Combination):
     # -- rendering ------------------------------------------------------------
 
     def text(self) -> str:
-        return join_signed(_term_text(idx, coeff) for idx, coeff in self.items())
+        return join_signed(scaled_term(coeff, str(idx), " * ", False) for idx, coeff in self.items())
 
     def __repr__(self) -> str:
         return f"AreaDualElement(n={self.n}, {self.text()!r})"
@@ -158,14 +158,6 @@ def _require_dual(n: int, idx: AreaIndex) -> AreaIndex:
     if idx.family not in _DN_FAMILIES:
         raise InvalidIndexError(f"dual elements use Delta*/N* coordinates only, got {idx.text()}")
     return require_valid(n, idx)
-
-
-def _term_text(idx: AreaIndex, coeff: PiScalar) -> tuple[int, str]:
-    sign, magnitude = split_sign(coeff)
-    mag_text = magnitude.text()
-    if " " in mag_text:
-        mag_text = f"({mag_text})"
-    return sign, f"{idx}" if mag_text == "1" else f"{mag_text} * {idx}"
 
 
 def basis_element(n: int, index: AreaIndex) -> AreaDualElement:

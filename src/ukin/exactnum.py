@@ -248,6 +248,24 @@ def split_sign(coeff: PiScalar) -> tuple[int, PiScalar]:
     return (1, coeff) if lead > 0 else (-1, -coeff)
 
 
+def scaled_term(coeff: PiScalar, symbol: str, sep: str, latex: bool) -> tuple[int, str]:
+    """(sign, body) of the nonzero coeff times symbol, for join_signed.
+
+    The empty symbol gives the scalar alone.  Before a symbol a unit
+    magnitude is dropped; a magnitude of several terms is bracketed, and in
+    text so is one whose rendering has a space, such as '2 * pi'.
+    """
+    sign, magnitude = split_sign(coeff)
+    body = magnitude.latex() if latex else magnitude.text()
+    if symbol and body == "1":
+        return sign, symbol
+    if not magnitude.is_monomial():
+        body = f"\\left({body}\\right)" if latex else f"({body})"
+    elif symbol and not latex and " " in body:
+        body = f"({body})"
+    return sign, f"{body}{sep}{symbol}" if symbol else body
+
+
 def _term_text(coeff: Fraction, exp: int) -> str:
     if exp == 0:
         return str(coeff)

@@ -27,7 +27,7 @@ from .areabasis import (
     valid_indices,
 )
 from .dualalgebra import basis_product
-from .exactnum import PiScalar, add_terms, join_signed, split_sign
+from .exactnum import PiScalar, add_terms, join_signed, scaled_term
 
 BASIS_DELTA_N = "delta-n"
 BASIS_B_GAMMA = "b-gamma"
@@ -186,15 +186,10 @@ def _emit_latex(table: KinematicTable) -> str:
     left_mu, right_mu = _slot_globalized(table.kind)
     if not table.entries:
         return "0"
-
-    def term(left: AreaIndex, right: AreaIndex, coeff: PiScalar) -> tuple[int, str]:
-        sign, magnitude = split_sign(coeff)
-        pair = f"{_index_latex(left, left_mu)}\\otimes {_index_latex(right, right_mu)}"
-        return sign, pair if magnitude == PiScalar(1) else f"{magnitude.latex()} {pair}"
-
     head_target = _index_latex(table.target, left_mu and right_mu)
-    return f"A({head_target}) = " + join_signed(term(left, right, coeff)
-                                                for (left, right), coeff in table.sorted_entries())
+    return f"A({head_target}) = " + join_signed(
+        scaled_term(coeff, f"{_index_latex(left, left_mu)}\\otimes {_index_latex(right, right_mu)}", " ", True)
+        for (left, right), coeff in table.sorted_entries())
 
 
 def table_json(table: KinematicTable) -> dict:

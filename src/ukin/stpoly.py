@@ -35,7 +35,7 @@ from .exactnum import (
     as_piscalar,
     binomial,
     join_signed,
-    split_sign,
+    scaled_term,
 )
 
 # Monomial key: (t-exponent, s-exponent).
@@ -104,47 +104,17 @@ class STPoly(Combination):
 
     def text(self) -> str:
         """E.g. 't^3 - 2*s*t'; pi-carrying coefficients are parenthesized."""
-        return join_signed(_term_text(a, b, coeff) for (a, b), coeff in self.terms())
+        return join_signed(scaled_term(coeff, _vars(a, b, False), "*", False) for (a, b), coeff in self.terms())
 
     def latex(self) -> str:
-        return join_signed(_term_latex(a, b, coeff) for (a, b), coeff in self.terms())
+        return join_signed(scaled_term(coeff, _vars(a, b, True), "", True) for (a, b), coeff in self.terms())
 
 
-def _vars_text(a: int, b: int) -> list[str]:
-    out = []
-    if b:
-        out.append("s" if b == 1 else f"s^{b}")
-    if a:
-        out.append("t" if a == 1 else f"t^{a}")
-    return out
-
-
-def _term_text(a: int, b: int, coeff: PiScalar) -> tuple[int, str]:
-    sign, mag = split_sign(coeff)
-    variables = _vars_text(a, b)
-    if not variables:
-        return sign, mag.text() if mag.is_monomial() else f"({mag.text()})"
-    if mag == PiScalar(1):
-        return sign, "*".join(variables)
-    exp, frac = mag.monomial() if mag.is_monomial() else (None, None)
-    if exp == 0:
-        return sign, "*".join([str(frac), *variables])
-    return sign, "*".join([f"({mag.text()})", *variables])
-
-
-def _term_latex(a: int, b: int, coeff: PiScalar) -> tuple[int, str]:
-    sign, mag = split_sign(coeff)
-    variables = ""
-    if b:
-        variables += "s" if b == 1 else f"s^{{{b}}}"
-    if a:
-        variables += "t" if a == 1 else f"t^{{{a}}}"
-    if not variables:
-        return sign, mag.latex() if mag.is_monomial() else f"\\left({mag.latex()}\\right)"
-    if mag == PiScalar(1):
-        return sign, variables
-    body = mag.latex() if mag.is_monomial() else f"\\left({mag.latex()}\\right)"
-    return sign, f"{body}{variables}"
+def _vars(a: int, b: int, latex: bool) -> str:
+    # s^b t^a: a factor of exponent 0 is dropped, one of exponent 1 is bare.
+    factors = [name if exp == 1 else f"{name}^{{{exp}}}" if latex else f"{name}^{exp}"
+               for name, exp in (("s", b), ("t", a)) if exp]
+    return ("" if latex else "*").join(factors)
 
 
 # ---------------------------------------------------------------------------

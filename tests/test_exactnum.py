@@ -17,6 +17,7 @@ from ukin.exactnum import (
     ball_volume,
     binomial,
     join_signed,
+    scaled_term,
     split_sign,
 )
 from ukin.stpoly import STPoly
@@ -183,6 +184,17 @@ class TestSharedHelpers:
         assert join_signed([]) == "0"
         assert join_signed([(1, "a")]) == "a"
         assert join_signed([(-1, "a"), (-1, "b"), (1, "c")]) == "-a - b + c"
+
+    def test_scaled_term_drops_units_and_groups_sums(self):
+        two = PiScalar(Fraction(-2, 3), -1) + PiScalar(5, 2)
+        assert scaled_term(PiScalar(-1), "x", "*", False) == (-1, "x")
+        assert scaled_term(PiScalar(-1), "", "*", False) == (-1, "1")
+        assert scaled_term(PiScalar(Fraction(3, 2)), "x", "*", False) == (1, "3/2*x")
+        assert scaled_term(PiScalar(2, 1), "x", " * ", False) == (1, "(2 * pi) * x")
+        assert scaled_term(PiScalar(2, 1), "", "*", False) == (1, "2 * pi")
+        assert scaled_term(PiScalar(2, 1), "x", " ", True) == (1, "2\\pi x")
+        assert scaled_term(two, "x", "*", False) == (-1, "(2/3 * pi^-1 - 5 * pi^2)*x")
+        assert scaled_term(two, "", "", True) == (-1, "\\left(\\frac{2}{3\\pi} - 5\\pi^{2}\\right)")
 
     def test_split_sign_follows_lowest_pi_exponent(self):
         x = PiScalar(Fraction(-2, 3), -1) + PiScalar(5, 2)

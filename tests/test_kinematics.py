@@ -8,6 +8,7 @@ import pytest
 
 from ukin import kinematics
 from ukin.areabasis import AreaIndex, Family, primal_bg_from_dn, primal_dn_from_bg, valid_indices
+from ukin.dualalgebra import AreaDualElement
 from ukin.exactnum import PiScalar
 from ukin.kinematics import (
     BASIS_B_GAMMA,
@@ -20,6 +21,7 @@ from ukin.kinematics import (
     local_formula,
     semilocal_formula,
 )
+from ukin.stpoly import STPoly
 
 
 def D(k, q):
@@ -241,6 +243,16 @@ class TestEmit:
                  if e["left"] == {"family": "Delta", "k": 1, "q": 0}
                  and e["right"] == {"family": "N", "k": 1, "q": 0}]
         assert entry and entry[0]["value"] == {"terms": [{"num": "4", "den": "9", "pi": -1}]}
+
+    def test_two_term_coefficient_is_grouped_before_every_symbol(self):
+        # One rule, exactnum.scaled_term, for a table entry, a polynomial
+        # term and a dual-element term.
+        two = PiScalar(1, -1) + PiScalar(2)
+        table = KinematicTable(2, D(1, 0), BASIS_DELTA_N, {(D(0, 0), D(1, 0)): two})
+        assert emit(table, "latex") == (
+            "A(\\Delta_{1,0}) = \\left(\\frac{1}{\\pi} + 2\\right) \\Delta_{0,0}\\otimes \\Delta_{1,0}")
+        assert STPoly({(1, 0): two}).latex() == "\\left(\\frac{1}{\\pi} + 2\\right)t"
+        assert AreaDualElement(2, {D(1, 0): two}).text() == "(1 * pi^-1 + 2) * Delta_{1,0}"
 
     def test_empty_table_renders_zero(self):
         empty = KinematicTable(2, D(2, 1), BASIS_DELTA_N, {})
