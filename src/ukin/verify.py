@@ -46,7 +46,7 @@ from .dualalgebra import (
     basis_product,
     monomial_rank,
 )
-from .exactnum import PiScalar, Rational, add_terms, ball_volume, binomial
+from .exactnum import ONE, PiScalar, Rational, add_terms, ball_volume, binomial
 from .kinematics import BASIS_B_GAMMA, BASIS_DELTA_N, full_table
 from .stpoly import Monomial, STPoly, fu_coefficients, p_coefficients, q_coefficients
 
@@ -622,13 +622,24 @@ def algebra_suite(n: int) -> list[CheckResult]:
            for d in range(2 * n) if monomial_rank(n, d) != counts.per_degree[d]]
     checks.append(_sweep("graded rank equals Delta/N census", bad))
 
-    bad = []
-    for basis_name in (BASIS_DELTA_N, BASIS_B_GAMMA):
-        for table in full_table(n, basis_name):
-            for (left, right), coeff in table.entries.items():
-                if table.coefficient(right, left) != coeff:
-                    bad.append(f"{basis_name} A({table.target.text()}): {left.text()},{right.text()}")
+    tables = {basis_name: full_table(n, basis_name) for basis_name in (BASIS_DELTA_N, BASIS_B_GAMMA)}
+    bad = [f"{basis_name} A({table.target.text()}): {left.text()},{right.text()}"
+           for basis_name, basis_tables in tables.items() for table in basis_tables
+           for (left, right), coeff in table.entries.items() if table.coefficient(right, left) != coeff]
     checks.append(_sweep("kinematic tables symmetric", bad))
+
+    # The co-unit: the entries of A(T) with the unit in a slot are exactly
+    # (unit, T) -> 1 and (T, unit) -> 1.
+    bad = []
+    for basis_name, basis_tables in tables.items():
+        unit = AreaIndex(Family.DELTA if basis_name == BASIS_DELTA_N else Family.GAMMA, 0, 0)
+        for table in basis_tables:
+            expected = {(unit, table.target): ONE, (table.target, unit): ONE}
+            found = {pair: coeff for pair, coeff in table.entries.items() if unit in pair}
+            bad.extend(f"{basis_name} A({table.target.text()}): {left.text()},{right.text()}"
+                       for left, right in {**expected, **found}
+                       if found.get((left, right)) != expected.get((left, right)))
+    checks.append(_sweep("kinematic tables counit", bad))
 
     return checks
 

@@ -131,6 +131,26 @@ def test_kinematic_symmetry_fails_on_changed_entry(monkeypatch):
         "kinematic tables symmetric": "delta-n A(Delta:2,0): Delta:1,0,N:1,0; delta-n A(Delta:2,0): N:1,0,Delta:1,0"}
 
 
+@pytest.mark.parametrize("basis, target, unit", [
+    (verify.BASIS_DELTA_N, AreaIndex(Family.DELTA, 2, 0), AreaIndex(Family.DELTA, 0, 0)),
+    (verify.BASIS_B_GAMMA, AreaIndex(Family.B, 2, 0), AreaIndex(Family.GAMMA, 0, 0)),
+])
+def test_kinematic_counit_fails_on_doubled_unit_entries(monkeypatch, basis, target, unit):
+    # Both unit entries of one table doubled: the table stays symmetric.
+    real = verify.full_table
+    pairs = ((unit, target), (target, unit))
+
+    def patched(n, basis_name):
+        tables = real(n, basis_name)
+        return [table._replace(entries={**table.entries, **{pair: 2 * table.entries[pair] for pair in pairs}})
+                if (basis_name, table.target) == (basis, target) else table for table in tables]
+
+    monkeypatch.setattr(verify, "full_table", patched)
+    name = f"{basis} A({target.text()})"
+    assert _failing(verify.algebra_suite(3)) == {
+        "kinematic tables counit": f"{name}: {unit.text()},{target.text()}; {name}: {target.text()},{unit.text()}"}
+
+
 def test_b_relation_fails_on_nonzero_b_pair(monkeypatch):
     real = verify.basis_product
     pair = (AreaIndex(Family.B, 1, 0), AreaIndex(Family.B, 2, 0))
