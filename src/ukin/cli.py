@@ -275,8 +275,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         _write_document(document, args.out)
         return 0
 
-    except InvalidIndexError as exc:
-        return _usage_error(str(exc))
     except ValueError as exc:
         return _usage_error(str(exc))
     except OSError as exc:
