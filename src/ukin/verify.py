@@ -628,7 +628,7 @@ def algebra_suite(n: int) -> list[CheckResult]:
            for (left, right), coeff in table.entries.items() if table.coefficient(right, left) != coeff]
     checks.append(_sweep("kinematic tables symmetric", bad))
 
-    # The co-unit: the entries of A(T) with the unit in a slot are exactly
+    # The counit: the entries of A(T) with the unit in a slot are exactly
     # (unit, T) -> 1 and (T, unit) -> 1.
     bad = []
     for basis_name, basis_tables in tables.items():
