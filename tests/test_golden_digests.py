@@ -9,7 +9,9 @@ n = 4..8, in the family's own basis, as json and as text (Delta, N) or latex
 the middle-degree targets of the top degree at larger n: `formula` and
 `global` on Delta:11,5 and `semilocal` on N:11,4 at n = 12, all three verbs
 on Delta:15,7 at n = 16, `formula` on Delta:23,11 at n = 24 and on Gamma:11,5
-in the b-gamma basis at n = 12.
+in the b-gamma basis at n = 12, and the single-target verbs at the reach of
+reading one target row: `formula` on Delta:31,15 at n = 32, `semilocal` on
+N:23,11 at n = 24 and `formula` on Gamma:23,11 in the b-gamma basis at n = 24.
 They are produced by `ukin.cli.main` in-process with stdout captured;
 `tests/golden/digests.json` maps each command line to the digest of its
 stdout.
@@ -61,7 +63,10 @@ def documents() -> list[str]:
                  for n, delta, semilocal in ((12, "Delta:11,5", "N:11,4"), (16, "Delta:15,7", "Delta:15,7"))
                  for verb, target in (("formula", delta), ("global", delta), ("semilocal", semilocal))]
     commands += ["formula --n 24 --target Delta:23,11 --format json",
-                 "formula --n 12 --target Gamma:11,5 --basis b-gamma --format json"]
+                 "formula --n 12 --target Gamma:11,5 --basis b-gamma --format json",
+                 "formula --n 32 --target Delta:31,15 --format json",
+                 "semilocal --n 24 --target N:23,11 --format json",
+                 "formula --n 24 --target Gamma:23,11 --basis b-gamma --format json"]
     return commands
 
 
@@ -80,7 +85,7 @@ def stored() -> dict[str, str]:
 
 
 def test_digest_file_covers_exactly_the_gated_documents(stored):
-    assert len(documents()) == 190
+    assert len(documents()) == 193
     assert sorted(stored) == sorted(documents())
 
 
