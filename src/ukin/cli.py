@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import argparse
 import errno
+import gc
 import os
 import sys
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Iterator, Sequence, TextIO
+from typing import TYPE_CHECKING, Iterator, NoReturn, Sequence, TextIO
 
 from .areabasis import Family, InvalidIndexError, census, parse_index
 from .dualalgebra import monomial_rank
@@ -284,5 +285,18 @@ def main(argv: Sequence[str] | None = None) -> int:
         return IO_ERROR
 
 
+def run() -> NoReturn:
+    """The `ukin` command, for `python -m ukin` and the installed script.
+
+    Runs main and exits with its status.  The heap is frozen first, so the
+    interpreter's collection at shutdown skips everything the run built;
+    atexit hooks and the final flush of stdout and stderr still run.  main
+    itself leaves the collector alone, for callers that go on running.
+    """
+    status = main()
+    gc.freeze()
+    sys.exit(status)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

@@ -31,15 +31,19 @@ from _edge_ratio(n) B*_{1,0} and so are cached already scaled).
 Each degree r has one integer matrix A, whose columns are the X' images of
 its generator monomials, each a primitive integer vector with its own
 rational scale.  One fraction-free elimination (Bareiss) of A alone gives the
-rank that census checks; one of [A | I] gives the canonical form of every
-Delta*/N* basis element of the degree at once, cached per degree: the form of
-X*_{k,q} is the rational solution for X'_{k,q} times pi^floor(k/2), and
-canonicalize sums those forms for any element.  There is one product cache,
-the delta-n structure constants: each ordered Delta*/N* pair multiplies its
-two cached forms once.  Every other product is a bilinear read of that cache
-and runs no solve: product sums over the Delta*/N* terms of both factors, and
-basis_product expands a B* or Gamma* factor into at most two Delta*/N* terms
-by the 2x2 block maps of areabasis, on every call.  Emitted indices outside
+rank that census checks; one of [A | I] gives the integer solution for every
+Delta'/N' basis element of the degree at once, cached per degree.  The
+canonical form of X*_{k,q} is its cached view: the rational solution for
+X'_{k,q} times pi^floor(k/2); canonicalize sums those forms for any element.
+There is one product cache, the delta-n structure constants: each ordered
+Delta*/N* pair multiplies its two cached forms once.  Every other product is
+a bilinear read of that cache and runs no solve: product sums over the
+Delta*/N* terms of both factors, and basis_product expands a B* or Gamma*
+factor into at most two Delta*/N* terms by the 2x2 block maps of areabasis,
+on every call.  A single target needs one coordinate of each product:
+target_coefficients reads the target's row of its degree's image matrix once
+and convolves two integer solutions against it per slot pair, so it forms no
+product and solves no degree above the target's.  Emitted indices outside
 their validity range denote zero and are silently dropped; in particular
 products of total degree above 2n-1 vanish.
 
@@ -57,7 +61,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import Iterable, Mapping, NamedTuple
+from operator import mul
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .areabasis import (
     AreaIndex,
@@ -441,29 +446,71 @@ def monomial_rank(n: int, degree: int) -> int:
     return len(_gauss_solve(_degree_system(n, degree)[2])[1])
 
 
+IntegerForm = tuple[tuple[int, ...], tuple[int, ...], int]
+
+
+@lru_cache(maxsize=None)
+def _degree_solution(n: int, degree: int) -> dict[AreaIndex, IntegerForm | None]:
+    """Read-only integer canonical form of every X'_{k,q} = pi^(-floor(k/2))
+    X*_{k,q} basis element of one degree, from one elimination of [A | I];
+    None outside the generator span.
+
+    A form is (phi, psi, denominator), in lowest terms: phi[b] over the
+    denominator is the coefficient of t^(degree-2b) s^b, psi[b] that of
+    t^(degree-1-2b) s^b vbar.  Each coordinate is the solution entry of
+    column j of I over the last pivot, divided by its column's scale.
+    _gauss_solve picks its pivots from A alone, so the solution it selects is
+    linear in the right-hand side; canonicalize relies on that to assemble the
+    form of any element from these.
+    """
+    rows, cols, matrix, scales = _degree_system(n, degree)
+    reduced, pivots, last = _gauss_solve(matrix, augment=True)
+    pivot_rows = {r for r, _ in pivots}
+    # A coordinate is reduced[r][j] / (last * scale) at its pivot row; with
+    # scale = p/q and common the lcm of the p, that is reduced[r][j] times
+    # q * (common // p), over last * common.
+    common = lcm(*(scales[col].numerator for _, col in pivots))
+    factors = [(r, cols[col], scales[col].denominator * (common // scales[col].numerator)) for r, col in pivots]
+    forms: dict[AreaIndex, IntegerForm | None] = {}
+    for j, index in enumerate(rows, start=len(cols)):
+        if any(row[j] for r, row in enumerate(reduced) if r not in pivot_rows):
+            forms[index] = None
+            continue
+        phi, psi = [0] * (degree // 2 + 1), [0] * ((degree + 1) // 2)
+        for r, (b, on_v), factor in factors:
+            (psi if on_v else phi)[b] = reduced[r][j] * factor
+        divisor = gcd(last * common, *phi, *psi)
+        forms[index] = (tuple(c // divisor for c in phi), tuple(c // divisor for c in psi),
+                        last * common // divisor)
+    return forms
+
+
+def _integer_form(n: int, index: AreaIndex) -> IntegerForm:
+    form = _degree_solution(n, index.k)[index]
+    if form is None:
+        raise InconsistentSystemError(f"inconsistent system: {index.text()} is outside the generator span")
+    return form
+
+
+def _form_poly(t_degree: int, numerators: tuple[int, ...], denominator: int, pi_exp: int) -> STPoly:
+    # sum over b of numerators[b]/denominator pi^pi_exp t^(t_degree-2b) s^b.
+    return STPoly({(t_degree - 2 * b, b): PiScalar(Fraction(c, denominator), pi_exp)
+                   for b, c in enumerate(numerators) if c})
+
+
 @lru_cache(maxsize=None)
 def _degree_forms(n: int, degree: int) -> dict[AreaIndex, CanonicalForm | None]:
     """Read-only canonical form of every Delta*/N* basis element of one
-    degree, from one elimination of [A | I]; None outside the generator span.
-
-    _gauss_solve picks its pivots from A alone, so the solution it selects is
-    linear in the right-hand side; canonicalize relies on that to assemble the
-    form of any element from these.  The form of X*_k = pi^floor(k/2) X'_k is
-    each solution coordinate over its column's scale, times pi^floor(k/2).
+    degree, a view of its integer form: the form of X*_k = pi^floor(k/2) X'_k
+    is the integer form over its denominator, times pi^floor(k/2).
     """
-    rows, cols, matrix, scales = _degree_system(n, degree)
-    reduced, pivots, denominator = _gauss_solve(matrix, augment=True)
-    pivot_rows = {r for r, _ in pivots}
     forms = {}
-    for j, index in enumerate(rows, start=len(cols)):
-        phi, psi = {}, {}
-        for r, col in pivots:
-            if reduced[r][j]:
-                b, on_v = cols[col]
-                coeff = Fraction(reduced[r][j], denominator) / scales[col]
-                (psi if on_v else phi)[(degree - on_v - 2 * b, b)] = PiScalar(coeff, degree // 2)
-        inconsistent = any(row[j] for r, row in enumerate(reduced) if r not in pivot_rows)
-        forms[index] = None if inconsistent else CanonicalForm(n, STPoly(phi), STPoly(psi))
+    for index, form in _degree_solution(n, degree).items():
+        if form is not None:
+            phi, psi, denominator = form
+            form = CanonicalForm(n, _form_poly(degree, phi, denominator, degree // 2),
+                                 _form_poly(degree - 1, psi, denominator, degree // 2))
+        forms[index] = form
     return forms
 
 
@@ -526,3 +573,76 @@ def basis_product(n: int, left: AreaIndex, right: AreaIndex) -> AreaDualElement:
     if left.family in _DN_FAMILIES and right.family in _DN_FAMILIES:
         return _dn_product(n, left, right)
     return _bilinear(n, _dn_terms(n, left), _dn_terms(n, right))
+
+
+def _target_row(n: int, degree: int, target_terms: Mapping[AreaIndex, Fraction]) -> tuple[list[int], list[int], int]:
+    # The target's row of the degree's image matrix, weighted by its Delta/N
+    # coordinates, over one denominator: one entry per generator monomial of
+    # the degree, t^(degree-2b) s^b on the unit and t^(degree-1-2b) s^b on vbar.
+    unit_images = [_integer_image(n, degree - 2 * b, b, _UNIT_SOURCE) for b in range(degree // 2 + 1)]
+    vbar_images = [_integer_image(n, degree - 1 - 2 * b, b, _VBAR_SOURCE) for b in range((degree + 1) // 2)]
+    image_common = lcm(*(denominator for _, denominator in unit_images + vbar_images))
+    weight_common = lcm(*(weight.denominator for weight in target_terms.values()))
+    weights = [(idx, weight.numerator * (weight_common // weight.denominator))
+               for idx, weight in target_terms.items()]
+
+    def row(images):
+        return [(image_common // denominator) * sum(w * image.get(idx, 0) for idx, w in weights)
+                for image, denominator in images]
+
+    return row(unit_images), row(vbar_images), image_common * weight_common
+
+
+def target_coefficients(n: int,
+                        target_terms: Mapping[AreaIndex, Fraction]) -> Callable[[AreaIndex, AreaIndex], PiScalar]:
+    """The coefficient of one target in b*_l b*_r, read without the product.
+
+    target_terms are the Delta/N coordinates of the target, all of one degree
+    r.  Returns coefficient(left, right) for dual basis elements of any
+    families whose degrees k and l add up to r.  The target's row of the
+    degree-r image matrix is read once; a Delta*/N* pair's coefficient is then
+    one integer convolution of the two integer forms against that row (vbar^2
+    = 0 drops psi psi'), over the product of their denominators, times
+    pi^(floor(k/2) + floor(l/2) - floor(r/2)).  It is computed once per
+    unordered pair.  A B* or Gamma* factor combines at most four of them
+    through the block map dual_bg_to_dn, as in basis_product.  Only forms of
+    degree at most r are solved, and no product is cached.
+    """
+    degree = next(iter(target_terms)).k
+    unit_row, vbar_row, row_denominator = _target_row(n, degree, target_terms)
+    convolved: dict[AreaIndex, tuple[list[int], list[int], int]] = {}
+    values: dict[tuple[AreaIndex, AreaIndex], Fraction] = {}
+
+    def convolve(index: AreaIndex) -> tuple[list[int], list[int], int]:
+        # The form of one factor against the row: the vectors that the other
+        # factor's phi and psi meet, indexed by the other factor's s-exponent.
+        phi, psi, denominator = _integer_form(n, index)
+        other = degree - index.k
+        on_phi = [sum(c * unit_row[b + a] for a, c in enumerate(phi))
+                  + sum(c * vbar_row[b + a] for a, c in enumerate(psi)) for b in range(other // 2 + 1)]
+        on_psi = [sum(c * vbar_row[b + a] for a, c in enumerate(phi)) for b in range((other + 1) // 2)]
+        return on_phi, on_psi, denominator * row_denominator
+
+    def dn_value(left: AreaIndex, right: AreaIndex) -> Fraction:
+        if right.sort_key < left.sort_key:
+            left, right = right, left
+        value = values.get((left, right))
+        if value is None:
+            if left not in convolved:
+                convolved[left] = convolve(left)
+            on_phi, on_psi, denominator = convolved[left]
+            phi, psi, right_denominator = _integer_form(n, right)
+            value = values[left, right] = Fraction(sum(map(mul, phi, on_phi)) + sum(map(mul, psi, on_psi)),
+                                                   denominator * right_denominator)
+        return value
+
+    def coefficient(left: AreaIndex, right: AreaIndex) -> PiScalar:
+        if left.family in _DN_FAMILIES and right.family in _DN_FAMILIES:
+            value = dn_value(left, right)
+        else:
+            value = sum((left_coeff * right_coeff * dn_value(left_dn, right_dn)
+                         for left_dn, left_coeff in _dn_terms(n, left).items()
+                         for right_dn, right_coeff in _dn_terms(n, right).items()), Fraction(0))
+        return PiScalar(value, left.k // 2 + right.k // 2 - degree // 2)
+
+    return coefficient

@@ -4,10 +4,12 @@ A kinematic formula for a primal basis measure Psi is the expansion
 A(Psi) = sum c_ij  b_i (x) b_j over pairs of primal basis measures with
 deg b_i + deg b_j = deg Psi.  The coefficients are extracted by duality:
 c_ij is the pairing of the dual product b*_i b*_j against Psi, where matched
-dual/primal bases pair diagonally.  Every table, one target or all of them,
-comes from a single pass over the slot pairs: each pair's product is read
-once from the delta-n structure constants and scattered into the tables of
-all targets of its degree.  Globalization keeps only pairs that survive on
+dual/primal bases pair diagonally.  The full array comes from a single pass
+over the slot pairs: each pair's product is read once from the delta-n
+structure constants and scattered into the tables of all targets of its
+degree.  One target needs only its own coordinate of each product, which
+dualalgebra.target_coefficients reads off the target's row of the images
+without forming the product.  Globalization keeps only pairs that survive on
 the full sphere, turning area-measure slots into the global valuations
 mu_{k,q}.
 """
@@ -26,7 +28,7 @@ from .areabasis import (
     require_valid,
     valid_indices,
 )
-from .dualalgebra import basis_product
+from .dualalgebra import basis_product, target_coefficients
 from .exactnum import PiScalar, add_terms, join_signed, scaled_term
 
 BASIS_DELTA_N = "delta-n"
@@ -73,30 +75,20 @@ def _target_dn_coordinates(n: int, target: AreaIndex) -> dict[AreaIndex, Fractio
     return primal_dn_from_bg(n, target)
 
 
-def _pair_tables(n: int, targets: list[AreaIndex], basis: str, left_families: tuple[Family, ...],
-                 right_families: tuple[Family, ...], kind: str = "local") -> list[KinematicTable]:
-    # One pass over the slot pairs the tables keep: each dual product
-    # b*_l b*_r is read once and scattered, through the Delta/N coordinates of
-    # the targets of its degree, into every one of their tables.
-    entries: list[dict[Pair, PiScalar]] = [{} for _ in targets]
-    readers: dict[int, dict[AreaIndex, list[tuple[dict, Fraction]]]] = {}
-    for target, acc in zip(targets, entries):
-        by_coordinate = readers.setdefault(target.k, {})
-        for idx, weight in _target_dn_coordinates(n, target).items():
-            by_coordinate.setdefault(idx, []).append((acc, weight))
-    for degree, by_coordinate in readers.items():
-        for d1 in range(degree + 1):
-            rights = indices_of_degree(n, degree - d1, right_families)
-            for left in indices_of_degree(n, d1, left_families):
-                for right in rights:
-                    prod = basis_product(n, left, right)
-                    pair = (left, right)
-                    for idx, scatter in by_coordinate.items():
-                        coeff = prod.coefficient(idx)
-                        if coeff:
-                            for acc, weight in scatter:
-                                add_terms(acc, ((pair, coeff * weight),))
-    return [KinematicTable(n, target, basis, acc, kind) for target, acc in zip(targets, entries)]
+def _target_table(n: int, target: AreaIndex, basis: str, left_families: tuple[Family, ...],
+                  right_families: tuple[Family, ...], kind: str = "local") -> KinematicTable:
+    # One target: each slot pair's coefficient is read off the target's row
+    # of the images, and no product is formed.
+    coefficient = target_coefficients(n, _target_dn_coordinates(n, target))
+    entries: dict[Pair, PiScalar] = {}
+    for d1 in range(target.k + 1):
+        rights = indices_of_degree(n, target.k - d1, right_families)
+        for left in indices_of_degree(n, d1, left_families):
+            for right in rights:
+                coeff = coefficient(left, right)
+                if coeff:
+                    entries[left, right] = coeff
+    return KinematicTable(n, target, basis, entries, kind)
 
 
 def local_formula(n: int, target: AreaIndex, basis: str = BASIS_DELTA_N) -> KinematicTable:
@@ -106,21 +98,44 @@ def local_formula(n: int, target: AreaIndex, basis: str = BASIS_DELTA_N) -> Kine
     if target.family not in families:
         raise InvalidIndexError(
             f"target {target.text()} does not belong to the {basis} basis")
-    return _pair_tables(n, [target], basis, families, families)[0]
+    return _target_table(n, target, basis, families, families)
 
 
 def full_table(n: int, basis: str = BASIS_DELTA_N) -> list[KinematicTable]:
-    """One kinematic table per primal basis element, ordered by (k, family, q)."""
+    """One kinematic table per primal basis element, ordered by (k, family, q).
+
+    One pass over the slot pairs: each dual product b*_l b*_r is read once
+    and scattered, through the Delta/N coordinates of the targets of its
+    degree, into every one of their tables.
+    """
     families = _families_for(basis)
     targets = sorted((idx for family in families for idx in valid_indices(n, family)),
                      key=lambda idx: idx.sort_key)
-    return _pair_tables(n, targets, basis, families, families)
+    entries: list[dict[Pair, PiScalar]] = [{} for _ in targets]
+    readers: dict[int, dict[AreaIndex, list[tuple[dict, Fraction]]]] = {}
+    for target, acc in zip(targets, entries):
+        by_coordinate = readers.setdefault(target.k, {})
+        for idx, weight in _target_dn_coordinates(n, target).items():
+            by_coordinate.setdefault(idx, []).append((acc, weight))
+    for degree, by_coordinate in readers.items():
+        for d1 in range(degree + 1):
+            rights = indices_of_degree(n, degree - d1, families)
+            for left in indices_of_degree(n, d1, families):
+                for right in rights:
+                    prod = basis_product(n, left, right)
+                    pair = (left, right)
+                    for idx, scatter in by_coordinate.items():
+                        coeff = prod.coefficient(idx)
+                        if coeff:
+                            for acc, weight in scatter:
+                                add_terms(acc, ((pair, coeff * weight),))
+    return [KinematicTable(n, target, basis, acc) for target, acc in zip(targets, entries)]
 
 
 def global_formula(n: int, k: int, q: int) -> KinematicTable:
     """Globalized formula for mu_{k,q}: N-slots vanish on the full sphere."""
     target = require_valid(n, AreaIndex(Family.DELTA, k, q))
-    return _pair_tables(n, [target], BASIS_DELTA_N, (Family.DELTA,), (Family.DELTA,), kind="global")[0]
+    return _target_table(n, target, BASIS_DELTA_N, (Family.DELTA,), (Family.DELTA,), kind="global")
 
 
 def semilocal_formula(n: int, target: AreaIndex) -> KinematicTable:
@@ -128,8 +143,7 @@ def semilocal_formula(n: int, target: AreaIndex) -> KinematicTable:
     require_valid(n, target)
     if target.family not in (Family.DELTA, Family.N):
         raise InvalidIndexError("semilocal targets use the Delta/N basis")
-    return _pair_tables(n, [target], BASIS_DELTA_N, (Family.DELTA, Family.N), (Family.DELTA,),
-                        kind="semilocal")[0]
+    return _target_table(n, target, BASIS_DELTA_N, (Family.DELTA, Family.N), (Family.DELTA,), kind="semilocal")
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """CLI contract: exit codes, stream separation, determinism, golden files."""
 
 import ast
+import gc
 import importlib
 import json
 import os
@@ -525,3 +526,44 @@ class TestVerbs:
         assert rc == 0
         sub = run_cli("formula", "--n", "2", "--target", "Delta:2,1", "--format", "latex")
         assert captured.out == sub.stdout
+
+
+class TestEntryPoint:
+    def test_main_leaves_the_collector_unfrozen(self, capsys):
+        assert gc.get_freeze_count() == 0
+        assert main(["formula", "--n", "3", "--target", "Delta:3,1", "--format", "json"]) == 0
+        assert gc.get_freeze_count() == 0
+
+    def test_script_and_module_call_one_function(self):
+        # pyproject.toml is read line by line: Python 3.10 has no tomllib.
+        section, scripts = None, {}
+        for line in (Path(PACKAGE_ROOT).parent / "pyproject.toml").read_text().splitlines():
+            line = line.strip()
+            if line.startswith("["):
+                section = line
+            elif section == "[project.scripts]" and "=" in line:
+                name, _, value = line.partition("=")
+                scripts[name.strip()] = value.strip().strip('"')
+        module, _, function = scripts["ukin"].partition(":")
+        assert getattr(importlib.import_module(module), function) is cli.run
+        tree = ast.parse(Path(ukin.__file__).with_name("__main__.py").read_text())
+        imported = {alias.asname or alias.name: f"ukin.{node.module}:{alias.name}"
+                    for node in tree.body if isinstance(node, ast.ImportFrom) and node.level == 1
+                    for alias in node.names}
+        calls = [node.value.func.id for node in tree.body
+                 if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call)]
+        assert [imported[name] for name in calls] == [scripts["ukin"]]
+
+    @pytest.mark.parametrize("argv, code", [(["formula", "--n", "2", "--target", "Delta:1,0"], 0),
+                                            (["table", "--n", "1"], 2)])
+    def test_run_freezes_then_exits_with_the_status(self, argv, code):
+        # The atexit hook runs after run() froze the heap, and sees it frozen.
+        script = ("import atexit, gc, sys\n"
+                  "from ukin.cli import run\n"
+                  "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0, file=sys.stderr))\n"
+                  "run()\n")
+        result = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True,
+                                env=cli_env())
+        assert result.returncode == code
+        assert result.stderr.endswith("frozen True\n")
+        assert bool(result.stdout) == (code == 0)

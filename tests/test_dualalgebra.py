@@ -313,7 +313,7 @@ def _solve_by_unit_columns(matrix, rhs):
 
 
 def _clear_product_caches():
-    for cached in (dualalgebra._degree_forms, dualalgebra._dn_product):
+    for cached in (dualalgebra._degree_solution, dualalgebra._degree_forms, dualalgebra._dn_product):
         cached.cache_clear()
 
 
@@ -510,7 +510,7 @@ class TestIntegerDegreeSystems:
                     return rows_, cols, matrix, scales
 
                 monkeypatch.setattr(dualalgebra, "_degree_system", patched)
-                dualalgebra._degree_forms.cache_clear()
+                _clear_product_caches()
                 for idx in rows:
                     if idx == broken:
                         with pytest.raises(InconsistentSystemError, match=f"{idx.text()} is outside"):
@@ -519,7 +519,7 @@ class TestIntegerDegreeSystems:
                         assert isinstance(dualalgebra._basis_canonical(n, idx), CanonicalForm)
         finally:
             monkeypatch.undo()
-            dualalgebra._degree_forms.cache_clear()
+            _clear_product_caches()
 
 
 class TestProducts:

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from ukin import kinematics
+from ukin import dualalgebra, kinematics
 from ukin.areabasis import AreaIndex, Family, primal_bg_from_dn, primal_dn_from_bg, valid_indices
 from ukin.dualalgebra import AreaDualElement
 from ukin.exactnum import PiScalar
@@ -179,14 +179,60 @@ class TestOnePass:
 
 
 class TestSingleTarget:
+    # The single-target verbs read one target row; full_table forms every
+    # product.  The two routes must agree entry for entry.
+
     @pytest.mark.parametrize("basis", [BASIS_DELTA_N, BASIS_B_GAMMA])
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_local_formula_equals_full_table(self, n, basis):
         targets = [idx for family in TestOnePass.SLOT_FAMILIES[basis] for idx in valid_indices(n, family)]
         tables = {table.target: table for table in full_table(n, basis)}
         assert set(tables) == set(targets)
         for target in targets:
             assert local_formula(n, target, basis) == tables[target], target
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_global_and_semilocal_equal_filtered_full_table(self, n):
+        for table in full_table(n):
+            target = table.target
+            assert semilocal_formula(n, target) == KinematicTable(
+                n, target, BASIS_DELTA_N, kind="semilocal",
+                entries={p: c for p, c in table.entries.items() if p[1].family is Family.DELTA})
+            if target.family is Family.DELTA:
+                assert global_formula(n, target.k, target.q) == KinematicTable(
+                    n, target, BASIS_DELTA_N, kind="global",
+                    entries={p: c for p, c in table.entries.items()
+                             if p[0].family is Family.DELTA and p[1].family is Family.DELTA})
+
+    VERBS = [
+        ("formula", lambda n, idx: local_formula(n, idx), (Family.DELTA, Family.N)),
+        ("formula b-gamma", lambda n, idx: local_formula(n, idx, BASIS_B_GAMMA), (Family.B, Family.GAMMA)),
+        ("global", lambda n, idx: global_formula(n, idx.k, idx.q), (Family.DELTA,)),
+        ("semilocal", semilocal_formula, (Family.DELTA, Family.N)),
+    ]
+
+    @pytest.mark.parametrize("verb, build, families", VERBS, ids=[v[0] for v in VERBS])
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_single_target_fills_no_product_and_solves_no_higher_degree(self, n, verb, build, families,
+                                                                        monkeypatch):
+        solved = []
+        real = dualalgebra._degree_solution
+        caches = (real, dualalgebra._degree_forms, dualalgebra._dn_product)
+
+        def recording(m, degree):
+            solved.append(degree)
+            return real(m, degree)
+
+        monkeypatch.setattr(dualalgebra, "_degree_solution", recording)
+        for target in [idx for family in families for idx in valid_indices(n, family)]:
+            for cached in caches:
+                cached.cache_clear()
+            solved.clear()
+            table = build(n, target)
+            assert table.entries, target
+            assert dualalgebra._dn_product.cache_info().currsize == 0, target
+            assert dualalgebra._degree_forms.cache_info().currsize == 0, target
+            assert set(solved) == set(range(target.k + 1)), target
 
 
 class TestGlobalAndSemilocal:

@@ -283,7 +283,7 @@ def test_closed_form_off_the_pi_grading_fails_every_route(monkeypatch):
 # any test patches a name.
 RULE_CACHES = tuple(getattr(dualalgebra, name) for name in (
     "_tbar_rule", "_sbar_rule", "_integer_image", "_rational_image", "_degree_system",
-    "_degree_forms", "_dn_product"))
+    "_degree_solution", "_degree_forms", "_dn_product"))
 
 # The caches of dualalgebra whose values do not depend on the raising rules.
 RULE_INDEPENDENT_CACHES = ("unit", "tbar", "sbar", "vbar", "_edge_ratio")
